@@ -338,14 +338,6 @@ class OpenedStructure:
     steps: tuple[tuple, ...]  # (child, parent, kind, child_point, parent_point)
     offspring: tuple[int, ...]  # number of overlap-edge children per base pair
 
-    @property
-    def tree_degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.parent)
-        for i, j, _, _ in self.tree_edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
-
 
 def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> OpenedStructure:
     """Delete one P-edge per superposition cycle (the one with the smallest
@@ -465,47 +457,41 @@ def count_compatible_pairs(tree_edges, p: int, p_max: Optional[int] = None) -> i
     return count
 
 
-def forest_volume(selection: ForestSelection, overlap, exact_max: int = 3,
-                  qmc_exponent: int = 20, seed: int = 0) -> float:
+def forest_volume(selection: ForestSelection, overlap):
     """Integral over v in [0,1]^F of the interpolated hardcore product,
 
         prod_{{A,B} path-linked, overlapping} (1 - min_{l in path} v_l),
 
-    given the boolean overlap matrix of the intervals.  Exact by enumerating
-    the orderings of the v variables (the minimum is then a fixed variable
-    on each simplex and the integrand a polynomial) for |F| <= exact_max;
-    scrambled-Sobol quadrature beyond.
+    given the boolean overlap matrix of the intervals, shape (p, p), or a
+    stack of them, shape (..., p, p); returns a float or an array.
+
+    Exact for every |F| = q.  On the simplex where the q edges are ordered by
+    increasing v, the minimum along each path is the path's lowest-ranked
+    edge; with c_r overlapping paths whose minimum falls on the r-th edge the
+    simplex integral of prod_r (1 - v_r)^{c_r} is prod_r 1 / sum_{r' >= r}
+    (c_{r'} + 1).  The volume is the sum of that over the q! orderings.  The
+    tail sum for rank r depends only on the set S of edges ranked r or later:
+    it is |S| plus the number of overlapping paths lying inside S.  So the sum
+    over orderings is accumulated over the 2^q sets S, each from its subsets
+    one edge smaller.
     """
+    ov = np.asarray(overlap, dtype=bool)
     q = len(selection.micro_edges)
-    path_specs = []
+    sets = np.arange(1 << q)
+    tail = np.zeros(ov.shape[:-2] + (1 << q,)) + [int(S).bit_count() for S in sets]
     for (i, j), cls in classify_pairs(selection):
-        if cls[0] == "path" and overlap[i][j]:
-            path_specs.append(cls[1])
-    if not path_specs:
-        return 1.0
-    if q <= exact_max:
-        total = 0.0
-        for perm in itertools.permutations(range(q)):
-            pos = {e: r for r, e in enumerate(perm)}
-            counts = [0] * q
-            for spec in path_specs:
-                counts[min(spec, key=lambda e: pos[e])] += 1
-            poly = np.polynomial.Polynomial([1.0])
-            for e in perm:
-                poly = (poly * np.polynomial.Polynomial([1.0, -1.0]) ** counts[e]).integ()
-            total += float(poly(1.0))
-        return total
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=q, scramble=True, seed=seed)
-    v = sob.random(1 << qmc_exponent)
-    prod = np.ones(len(v))
-    for spec in path_specs:
-        prod *= 1.0 - np.min(v[:, list(spec)], axis=1)
-    return float(prod.mean())
+        if cls[0] == "path":
+            path = sum(1 << e for e in cls[1])
+            tail[..., (sets & path) == path] += ov[..., i, j, None]
+    acc = np.empty_like(tail)
+    acc[..., 0] = 1.0
+    for S in range(1, 1 << q):  # every subset of S is visited before S
+        acc[..., S] = sum(acc[..., S ^ (1 << e)] for e in range(q) if S >> e & 1) / tail[..., S]
+    out = acc[..., -1]
+    return float(out) if out.ndim == 0 else out
 
 
-def verify_bkar_identity(matching, t, exact_max: int = 3, seed: int = 0) -> float:
+def verify_bkar_identity(matching, t) -> float:
     """|LHS - RHS| of the interpolation identity at a fixed time configuration.
 
     t lists the 2p times with t[2i] < t[2i+1]; intervals are closed, so
@@ -528,7 +514,7 @@ def verify_bkar_identity(matching, t, exact_max: int = 3, seed: int = 0) -> floa
     lhs = float(not any(overlap[i][j] for i in range(p) for j in range(i + 1, p)))
 
     rhs = 0.0
-    for sel in enumerate_forest_selections(matching, connecting_only=False):
+    for sel in enumerate_forest_selections(matching, connecting_only=False, p_max=p):
         term = (-1.0) ** len(sel.micro_edges)
         ok = True
         for (i, j), cls in classify_pairs(sel):
@@ -540,5 +526,5 @@ def verify_bkar_identity(matching, t, exact_max: int = 3, seed: int = 0) -> floa
                 break
         if not ok:
             continue
-        rhs += term * forest_volume(sel, overlap, exact_max=exact_max, seed=seed)
+        rhs += term * forest_volume(sel, overlap)
     return abs(lhs - rhs)

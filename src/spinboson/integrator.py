@@ -22,8 +22,10 @@ factors) and uniformly over the feasible overlap window along selected
 edges, with exact importance weights; the deleted cycle-closing kernel
 factors and the interpolated hardcore factors are evaluated at the sampled
 configuration.  The (-1)^|F| sign is carried symbolically so weights stay
-positive within a term.  The v-integral is done in closed form per sample
-for |F| <= 2 and by joint sampling beyond.
+positive within a term.  The v-integral is exact: given the sampled
+configuration it depends only on which path-linked pairs overlap, so each
+term looks it up in a table over those overlap patterns, filled from
+combinatorics.forest_volume on first use.
 
 The quadrature route (total dimension <= 5, i.e. p <= 2) does nested
 adaptive integration with kink-aware splitting of the inner position
@@ -95,6 +97,7 @@ class ClusterTerm:
         self.block_pairs = [e for e, c in classes if c[0] == "block"]
         self.path_pairs = [(e, c[1]) for e, c in classes if c[0] == "path"]
         self._opened = None
+        self._volumes = None
 
     @property
     def opened(self):
@@ -102,12 +105,24 @@ class ClusterTerm:
             self._opened = open_cycles(self.matching, self.selection, root_pair=self.pin_pair)
         return self._opened
 
-    def path_groups(self):
-        """Path pairs grouped by their forest-path signature (for exact v-integrals)."""
-        groups: dict[tuple, list] = {}
-        for e, spec in self.path_pairs:
-            groups.setdefault(tuple(sorted(spec)), []).append(e)
-        return groups
+    @property
+    def volumes(self) -> np.ndarray:
+        """Exact v-integral per overlap pattern: bit k of the index is set when
+        path pair k overlaps."""
+        if self._volumes is None:
+            codes = np.arange(1 << len(self.path_pairs))
+            ov = np.zeros((len(codes), self.p, self.p), dtype=bool)
+            for k, ((i, j), _) in enumerate(self.path_pairs):
+                ov[:, i, j] = ov[:, j, i] = (codes >> k) & 1
+            self._volumes = forest_volume(self.selection, ov)
+        return self._volumes
+
+    def volume(self, ov) -> np.ndarray:
+        """Exact v-integral for overlap matrices ov of shape (..., p, p)."""
+        code = np.zeros(ov.shape[:-2], dtype=np.intp)
+        for k, ((i, j), _) in enumerate(self.path_pairs):
+            code |= ov[..., i, j].astype(np.intp) << k
+        return self.volumes[code]
 
 
 def cluster_terms(p: int, p_max: Optional[int] = None, pin_pair: int = 0) -> list[ClusterTerm]:
@@ -129,12 +144,12 @@ def _overlap_matrix(starts, ends):
     return (s1 <= e2) & (s2 <= e1)
 
 
-def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None, exact_v: bool = False):
+def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
     """Evaluate the signed integrand at times t (..., 2p).
 
-    With exact_v the interpolated hardcore factor is replaced by its exact
-    v-integral given the overlap pattern (scalar t only); otherwise v must
-    supply one value per selected edge whenever path couplings exist.
+    With v=None the interpolated hardcore factor is integrated exactly over
+    v; otherwise v (..., |F|) gives one interpolation parameter per selected
+    edge and the v-resolved integrand is returned.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 1
@@ -153,59 +168,21 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None, exact_v: bool =
     value = value * term.sign
     for i, j in term.block_pairs:
         value = np.where(ov[..., i, j], 0.0, value)
-    if term.path_pairs:
-        if exact_v:
-            if not scalar:
-                raise ValueError("exact_v integrand evaluation is scalar-only")
-            vol = forest_volume(term.selection, ov[0])
-            value = value * vol
-        else:
-            if v is None:
-                raise ValueError("this term needs interpolation parameters v")
-            v = np.asarray(v, dtype=float)
-            if scalar and v.ndim == 1:
-                v = v[None, :]
-            for (i, j), spec in term.path_pairs:
-                r = np.min(v[..., list(spec)], axis=-1)
-                value = value * np.where(ov[..., i, j], 1.0 - r, 1.0)
+    if v is None:
+        value = value * term.volume(ov)
+    else:
+        v = np.asarray(v, dtype=float)
+        if scalar and v.ndim == 1:
+            v = v[None, :]
+        for (i, j), spec in term.path_pairs:
+            r = np.min(v[..., list(spec)], axis=-1)
+            value = value * np.where(ov[..., i, j], 1.0 - r, 1.0)
     return float(value[0]) if scalar else value
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo route
 # ---------------------------------------------------------------------------
-
-
-def _exact_volume_counts(term: ClusterTerm, ov):
-    """Closed-form v-integral per sample for |F| <= 2, from overlap counts.
-
-    For a single selected edge carrying m overlapping couplings the integral
-    is 1/(m+1).  For two edges with a overlapping couplings on the first, b
-    on the second and c on the two-edge path (c = 0 when the induced forest
-    has two components) it is
-
-        [1/(b+1) - 1/(a+b+c+2)] / (a+c+1) + [1/(a+1) - 1/(a+b+c+2)] / (b+c+1).
-    """
-    groups = term.path_groups()
-
-    def count(spec):
-        pairs = groups.get(spec, [])
-        if not pairs:
-            return 0.0
-        acc = np.zeros(ov.shape[0])
-        for i, j in pairs:
-            acc += ov[:, i, j]
-        return acc
-
-    if term.q == 0:
-        return 1.0
-    if term.q == 1:
-        return 1.0 / (count((0,)) + 1.0)
-    a = count((0,))
-    b = count((1,))
-    c = count((0, 1))
-    tot = 1.0 / (a + b + c + 2.0)
-    return (1.0 / (b + 1.0) - tot) / (a + c + 1.0) + (1.0 / (a + 1.0) - tot) / (b + c + 1.0)
 
 
 def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[float]):
@@ -252,20 +229,13 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
         mask &= ~ov[:, i, j]
     if horizon is not None:
         mask &= np.all((s >= 0.0) & (ends <= horizon), axis=1)
-    if term.q <= 2:
-        vol = _exact_volume_counts(term, ov)
-    else:
-        v = rng.random((n, term.q))
-        vol = np.ones(n)
-        for (i, j), spec in term.path_pairs:
-            r = np.min(v[:, list(spec)], axis=1)
-            vol = vol * np.where(ov[:, i, j], 1.0 - r, 1.0)
-    vals = term.sign * weight * vol * mask
+    vals = term.sign * weight * term.volume(ov) * mask
     return float(np.sum(vals))
 
 
 def _mc_term(kernel, term, horizon, budget, seed, term_index, workers):
     ranges = batch_layout(budget)
+    _ = term.volumes  # fill the table once, before the batches share it
 
     def run_batch(b):
         start, stop = ranges[b]
@@ -306,7 +276,7 @@ def _quad_term(kernel, term, horizon, budget, pin_pair):
     if term.p == 1:
         def f(length):
             evals[0] += 1
-            return term_integrand(kernel, term, np.array([0.0, length]), exact_v=True)
+            return term_integrand(kernel, term, np.array([0.0, length]))
 
         if horizon is None:
             val, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=QUAD_TOL / 50, limit=300)

@@ -282,8 +282,11 @@ class Kernel:
     def phi_dense(self, span: float) -> tuple[np.ndarray, float]:
         """Uniform Phi table covering [0, span] for fast linear interpolation.
 
-        Cached per power-of-two span; this is the hot-loop companion of
-        phi(), accurate to a few 1e-10 absolute.
+        Cached per power-of-two span (at least 64), with 2^20 nodes; this is
+        the hot-loop companion of phi().  As Phi'' = h, linear interpolation
+        in the table is within norm_inf * dx^2 / 8 of phi(): 2.9e-9 absolute
+        up to span 64 on the cutoff-1 indicator kernel, four times that per
+        doubling of the span beyond.
         """
         need = max(64.0, 2.0 ** np.ceil(np.log2(max(span, 1.0))))
         key = int(need)

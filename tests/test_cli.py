@@ -132,6 +132,14 @@ def test_verify_bkar_p2():
     assert doc["max_residual"] < 1e-8
 
 
+def test_verify_bkar_p5():
+    # orders above the default cap enumerate at their own order
+    code, doc = run_json(["verify", "bkar", "--p", "5", "--trials", "20", "--seed", "1"])
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["max_residual"] <= 1e-12
+
+
 def test_verify_lemma1_small():
     code, doc = run_json([
         "verify", "lemma1", "--samples", "50000", "--seed", "7", "--tuples", "6",

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from spinboson.combinatorics import (
     base_matching,
+    classify_pairs,
     contracted_multigraph,
     count_compatible_pairs,
     degree_census,
@@ -273,6 +277,20 @@ def test_bkar_identity_rejects_bad_intervals():
         verify_bkar_identity(base_matching(2), [1.0, 0.5, 2.0, 3.0])
 
 
+@pytest.mark.filterwarnings("ignore::ResourceWarning")
+def test_bkar_identity_exact_p4_to_p6():
+    # sparse overlaps on the base matching give the most contributing selections
+    rng = stream(80, 0)
+    for p, trials in ((4, 6), (5, 4), (6, 2)):
+        for _ in range(trials):
+            starts = rng.uniform(0.0, 1.5 * p, size=p)
+            lengths = rng.exponential(0.8, size=p) + 1e-3
+            t = np.empty(2 * p)
+            t[0::2] = starts
+            t[1::2] = starts + lengths
+            assert verify_bkar_identity(base_matching(p), t) <= 1e-12
+
+
 def test_forest_volume_two_edge_path():
     m = base_matching(3)
     sel = [
@@ -282,6 +300,66 @@ def test_forest_volume_two_edge_path():
     # only the long pair (0, 2) overlaps: integral of 1 - min(v1, v2) is 2/3
     overlap = [[False, False, True], [False, False, False], [True, False, False]]
     assert forest_volume(sel, overlap) == pytest.approx(2 / 3, rel=1e-12)
-    # quasi-random fallback agrees with the exact value
-    approx = forest_volume(sel, overlap, exact_max=0, qmc_exponent=14)
-    assert approx == pytest.approx(2 / 3, rel=5e-3)
+
+
+def _closed_form_volume(sel, overlap):
+    """Reference for |F| <= 2 from overlap counts.  One selected edge carrying m
+    overlapping couplings gives 1/(m+1).  Two edges with a overlapping
+    couplings on the first, b on the second and c on the two-edge path give
+
+        [1/(b+1) - 1/(a+b+c+2)] / (a+c+1) + [1/(a+1) - 1/(a+b+c+2)] / (b+c+1).
+    """
+    counts = {(0,): 0, (1,): 0, (0, 1): 0}
+    for (i, j), cls in classify_pairs(sel):
+        if cls[0] == "path" and overlap[i][j]:
+            counts[tuple(sorted(cls[1]))] += 1
+    a, b, c = counts[(0,)], counts[(1,)], counts[(0, 1)]
+    q = len(sel.micro_edges)
+    if q == 0:
+        return 1.0
+    if q == 1:
+        return 1.0 / (a + 1.0)
+    tot = 1.0 / (a + b + c + 2.0)
+    return (1.0 / (b + 1.0) - tot) / (a + c + 1.0) + (1.0 / (a + 1.0) - tot) / (b + c + 1.0)
+
+
+def _sobol_volume(sel, overlap):
+    """Scrambled-Sobol mean over v of the v-resolved product, with the paths
+    taken from the induced forest directly."""
+    q = len(sel.micro_edges)
+    v = qmc.Sobol(d=max(q, 1), scramble=True, seed=0).random(1 << 14)
+    prod = np.ones(len(v))
+    block_of = sel.blocks.block_of
+    p = len(block_of)
+    for i in range(p):
+        for j in range(i + 1, p):
+            if (i, j) in sel.micro_edges or not overlap[i][j]:
+                continue
+            path = sel.hat_path(block_of[i], block_of[j])
+            if path:
+                prod *= 1.0 - np.min(v[:, list(path)], axis=1)
+    return float(prod.mean())
+
+
+@pytest.mark.filterwarnings("ignore::ResourceWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_forest_volume_properties(rnd):
+    p = rnd.randint(2, 5)
+    # a uniform matching rarely has more than two blocks; the base matching has
+    # p, the only way to reach |F| = p - 1
+    if rnd.random() < 0.5:
+        m = base_matching(p)
+    else:
+        m = rnd.choice(list(enumerate_matchings(p, p_max=p)))
+    sels = list(enumerate_forest_selections(m, p_max=p))
+    # largest first, as draws favour early elements; |F| = 0 gives 1
+    q = rnd.choice(sorted({len(s.micro_edges) for s in sels} - {0}, reverse=True) or [0])
+    sel = rnd.choice([s for s in sels if len(s.micro_edges) == q])
+    upper = np.triu(np.array([rnd.random() < 0.5 for _ in range(p * p)]).reshape(p, p), 1)
+    overlap = upper | upper.T
+    vol = forest_volume(sel, overlap)
+    assert 0.0 <= vol <= 1.0
+    assert abs(vol - _sobol_volume(sel, overlap)) < 5e-3
+    if q <= 2:
+        assert vol == pytest.approx(_closed_form_volume(sel, overlap), rel=0, abs=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spinboson.combinatorics import base_matching, enumerate_forest_selections
+from spinboson.combinatorics import base_matching, enumerate_forest_selections, forest_volume
 from spinboson.errors import ResourceError, StructureError
 from spinboson.integrator import (
     ClusterTerm,
@@ -55,10 +55,10 @@ def test_term_integrand_sign(indicator_kernel):
     term = _single_term(2)  # base matching with one selected overlap edge
     t = np.array([0.0, 1.0, 0.5, 1.5])  # overlapping intervals
     assert term.sign == -1.0
-    assert term_integrand(indicator_kernel, term, t, exact_v=True) < 0
+    assert term_integrand(indicator_kernel, term, t) < 0
     # non-overlapping: the selected-edge factor vanishes
     t2 = np.array([0.0, 1.0, 2.0, 3.0])
-    assert term_integrand(indicator_kernel, term, t2, exact_v=True) == 0.0
+    assert term_integrand(indicator_kernel, term, t2) == 0.0
 
 
 def test_term_integrand_translation_invariance(indicator_kernel):
@@ -307,6 +307,27 @@ def test_term_integrand_against_naive_reimplementation(indicator_kernel):
             got = term_integrand(indicator_kernel, term, t, v=v)
             want = _naive_integrand(indicator_kernel, term, t, v)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+
+
+def test_exact_v_integrand_uses_forest_volume(indicator_kernel):
+    # v = 0 switches every path coupling off, leaving the rest of the integrand;
+    # the exact v-integral must then be that times forest_volume of the sample
+    from spinboson.integrator import _overlap_matrix
+
+    rng = stream(96, 0)
+    terms = [t for t in cluster_terms(4) if t.path_pairs]
+    for term in terms[::7] + [t for t in terms if t.q == 3][:4]:
+        starts = rng.uniform(-1.5, 1.5, size=(16, term.p))
+        lengths = rng.exponential(0.8, size=(16, term.p)) + 1e-3
+        t = np.empty((16, 2 * term.p))
+        t[:, 0::2] = starts
+        t[:, 1::2] = starts + lengths
+        got = term_integrand(indicator_kernel, term, t)
+        rest = term_integrand(indicator_kernel, term, t, v=np.zeros((16, term.q)))
+        ov = _overlap_matrix(starts, starts + lengths)
+        want = [r * forest_volume(term.selection, o) for r, o in zip(rest, ov)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        assert term_integrand(indicator_kernel, term, t[3]) == got[3]
 
 
 def test_quadrature_budget_warning(indicator_kernel):

@@ -187,3 +187,21 @@ def test_phi_properties(indicator_kernel):
     for x in [0.3, 1.0, 4.0, 15.0]:
         exact = 4 * math.pi * (1 - (1 - math.exp(-x)) / x)
         assert indicator_kernel.psi(x) == pytest.approx(exact, rel=1e-9)
+
+
+def test_phi_dense_interpolation_bound(indicator_kernel):
+    # linear interpolation of a function with second derivative h is off by at
+    # most max|h| dx^2 / 8; the tables' own rounding is below 1e-12
+    from spinboson.rng import stream
+
+    rng = stream(8, 0)
+    for span in (30.0, 100.0):
+        tab, dx = indicator_kernel.phi_dense(span)
+        xs = np.arange(len(tab)) * dx
+        assert xs[-1] >= span
+        x = np.concatenate([rng.uniform(0.0, xs[-1], size=100_000),
+                            rng.uniform(0.0, 1.0, size=100_000)])  # h is largest near 0
+        err = np.max(np.abs(np.interp(x, xs, tab) - indicator_kernel.phi(x)))
+        bound = indicator_kernel.norm_inf * dx**2 / 8
+        assert err <= bound + 1e-12
+        assert err > 0.5 * bound  # the bound is what the table achieves
