@@ -32,7 +32,6 @@ from . import integrator, jump_process, series
 from .errors import (
     CertificateError,
     ConfigError,
-    DivergenceError,
     EstimateUnreliableError,
     ResourceError,
     SamplingError,
@@ -42,7 +41,7 @@ from .kernel import KernelSpec, build_kernel
 from .rng import stream
 
 KERNEL_ENV = "SPINBOSON_KERNEL"
-BKAR_RESIDUAL_TOL = 1e-8
+BKAR_RESIDUAL_TOL = 1e-12
 
 _TAG_TUPLES = 7
 _TAG_BKAR = 8
@@ -100,7 +99,6 @@ def _cmd_norms(args):
         "norm_inf": ker.norm_inf,
         "norm_l1": ker.norm_l1,
         "h_at_zero": float(ker.h(0.0)),
-        "tolerance": ker.tol,
     }, 0
 
 
@@ -511,7 +509,7 @@ def main(argv=None) -> int:
     key = (args.command, args.verify_command) if args.command == "verify" else args.command
     try:
         doc, code = _HANDLERS[key](args)
-    except (ConfigError, DivergenceError, ResourceError, CertificateError,
+    except (ConfigError, ResourceError, CertificateError,
             StructureError, SamplingError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

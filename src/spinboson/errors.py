@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid kernel or run configuration (bad table, non-positive cutoff, ...)."""
 
 
-class DivergenceError(ArithmeticError):
-    """A kernel norm or integral does not converge at the requested tolerance."""
-
-
 class SamplingError(RuntimeError):
     """Sampling requested from a degenerate (zero-mass) distribution."""
 

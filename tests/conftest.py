@@ -19,3 +19,14 @@ def table_kernel(indicator_kernel):
     """h_table kernel sampled from the cutoff-1 indicator kernel."""
     ss = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 600)])
     return build_kernel(KernelSpec.h_table(np.column_stack([ss, indicator_kernel.h(ss)])))
+
+
+@pytest.fixture(scope="session")
+def draw_displacement():
+    """Signed displacement with density h(|s|)/||h||_1: magnitude, then sign."""
+
+    def draw(kernel, rng, size=None):
+        mag = kernel.quantile(rng.random(size))
+        return (rng.integers(0, 2, size=size) * 2 - 1) * mag
+
+    return draw

@@ -63,9 +63,13 @@ def test_h_table_tracks_sampled_kernel(indicator_kernel, table_kernel):
 
 
 def test_zero_table_kernel_has_zero_norms(zero_kernel):
-    assert zero_kernel.norm_inf == 0.0
-    assert zero_kernel.norm_l1 == 0.0
-    assert zero_kernel.rectangle_mass(0, 1, 0, 1) == 0.0
+    zero_radial = build_kernel(KernelSpec.radial_table([[0.0, 0.0], [1.0, 0.0]]))
+    for ker in (zero_kernel, zero_radial):
+        assert ker.norm_inf == 0.0
+        assert ker.norm_l1 == 0.0
+        assert ker.rectangle_mass(0, 1, 0, 1) == 0.0
+    with pytest.raises(SamplingError):
+        zero_radial.quantile(0.5)
 
 
 def test_invalid_specs_rejected():
@@ -130,16 +134,26 @@ def test_quantile_inverts_cdf_to_1e10(indicator_kernel):
     )
     xs = indicator_kernel.quantile(us)
     cdf = indicator_kernel.psi(xs) / (indicator_kernel.norm_l1 / 2)
-    # normalization of the sampler CDF uses the grid-end mass; compare there
-    cdf_grid = indicator_kernel._psi_pp(xs) / indicator_kernel._psi_end
-    assert np.max(np.abs(cdf_grid - us)) < 1e-10
-    assert np.max(np.abs(cdf - us)) < 1e-9
+    assert np.max(np.abs(cdf - us)) < 1e-12
 
 
-def test_sampler_matches_density(indicator_kernel):
+def test_quantile_tail_solves_exact_cdf(indicator_kernel):
+    # cutoff-1 indicator: CDF of |s| is F(x) = 1 - (1 - e^{-x})/x; the error
+    # is relative to the smaller of u and 1 - u, so the tails count in full
+    for u in (1e-9, 1 - 1e-9, 1 - 1e-12):
+        x = indicator_kernel.quantile(u)
+        beyond = -math.expm1(-x) / x  # 1 - F(x)
+        if u < 0.5:
+            below = x * math.fsum((-x) ** n / math.factorial(n + 2) for n in range(20))
+            assert abs(below - u) <= 1e-12 * u
+        else:
+            assert abs(beyond - (1 - u)) <= 1e-12 * (1 - u)
+
+
+def test_sampler_matches_density(indicator_kernel, draw_displacement):
     rng = np.random.default_rng(42)
     n = 200_000
-    s = indicator_kernel.sample_displacement(rng, size=n)
+    s = draw_displacement(indicator_kernel, rng, size=n)
     # sign symmetry
     frac_pos = np.mean(s > 0)
     assert abs(frac_pos - 0.5) < 3 * math.sqrt(0.25 / n)
@@ -161,17 +175,17 @@ def test_sampler_matches_density(indicator_kernel):
     assert abs(emp.mean() - mean_trunc) < 3 * se
 
 
-def test_sampler_deterministic_for_fixed_seed(indicator_kernel):
+def test_sampler_deterministic_for_fixed_seed(indicator_kernel, draw_displacement):
     from spinboson.rng import stream
 
-    a = indicator_kernel.sample_displacement(stream(7, 0), size=100)
-    b = indicator_kernel.sample_displacement(stream(7, 0), size=100)
+    a = draw_displacement(indicator_kernel, stream(7, 0), size=100)
+    b = draw_displacement(indicator_kernel, stream(7, 0), size=100)
     np.testing.assert_array_equal(a, b)
 
 
-def test_zero_kernel_sampling_raises(zero_kernel):
+def test_zero_kernel_sampling_raises(zero_kernel, draw_displacement):
     with pytest.raises(SamplingError):
-        zero_kernel.sample_displacement(np.random.default_rng(0), size=4)
+        draw_displacement(zero_kernel, np.random.default_rng(0), size=4)
 
 
 def test_phi_properties(indicator_kernel):
@@ -205,3 +219,99 @@ def test_phi_dense_interpolation_bound(indicator_kernel):
         bound = indicator_kernel.norm_inf * dx**2 / 8
         assert err <= bound + 1e-12
         assert err > 0.5 * bound  # the bound is what the table achieves
+
+
+# A radial table with w(k_0) > 0 at k_0 > 0 and a jump to 0 after the last point.
+FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
+
+
+def _phi_integrand(y):
+    """y - 1 + e^{-y}, by its Taylor series where the closed form cancels."""
+    if y < 0.1:
+        return y * y * math.fsum((-y) ** n / math.factorial(n + 2) for n in range(14))
+    return y - 1.0 + math.exp(-y)
+
+
+def _defining_integrals(points, s):
+    """h, Psi and Phi at s >= 0 by scipy quad of their k-integrals
+    4 pi int k w e^{-sk}, 4 pi int w (1 - e^{-sk}), 4 pi int (w/k)(sk - 1 + e^{-sk})."""
+    pts = np.asarray(points, dtype=float)
+    k, w = pts[:, 0], pts[:, 1]
+    integrands = (
+        lambda q: q * np.interp(q, k, w) * math.exp(-s * q),
+        lambda q: np.interp(q, k, w) * -math.expm1(-s * q),
+        lambda q: np.interp(q, k, w) * _phi_integrand(s * q) / q,
+    )
+    # split at the table points and where e^{-sk} has decayed
+    cuts = set(k.tolist())
+    if s > 0:
+        cuts |= {k[0] + j / s for j in (1, 10, 50) if k[0] + j / s < k[-1]}
+    cuts = sorted(cuts)
+    return [
+        4 * math.pi * math.fsum(
+            integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+        )
+        for f in integrands
+    ]
+
+
+@pytest.mark.parametrize("spec, points", [
+    (KernelSpec.indicator(1.0), [[0.0, 1.0], [1.0, 1.0]]),
+    (KernelSpec.radial_table(FOUR_PIECES), FOUR_PIECES),
+], ids=["indicator", "four_pieces"])
+def test_closed_forms_match_quad_of_defining_integrals(spec, points):
+    ker = build_kernel(spec)
+    for s in (0.0, 1e-8, 1e-3, 0.3, 1.0, 30.0, 1e4):
+        want = _defining_integrals(points, s)
+        got = (ker.h(s), ker.psi(s), ker.phi(s))
+        for name, g, v in zip(("h", "psi", "phi"), got, want):
+            assert g == pytest.approx(v, rel=1e-10, abs=1e-300), (name, s)
+        assert ker.h1(s) == pytest.approx(want[0], rel=1e-10, abs=1e-300)
+
+
+def test_indicator_is_the_one_piece_radial_table(indicator_kernel):
+    ker = build_kernel(KernelSpec.radial_table([[0.0, 1.0], [1.0, 1.0]]))
+    s = np.array([0.0, 1e-6, 0.4, 3.0, 1e3])
+    for f in ("h", "psi", "phi"):
+        np.testing.assert_array_equal(getattr(ker, f)(s), getattr(indicator_kernel, f)(s))
+    assert (ker.norm_inf, ker.norm_l1) == (indicator_kernel.norm_inf, indicator_kernel.norm_l1)
+
+
+def test_radial_table_norms_are_exact():
+    ker = build_kernel(KernelSpec.radial_table(FOUR_PIECES))
+    pts = np.asarray(FOUR_PIECES)
+    k, w = pts[:, 0], pts[:, 1]
+    # int k w and int w of the piecewise-linear w, piece by piece
+    dk = np.diff(k)
+    int_kw = np.sum(dk * (k[:-1] * (2 * w[:-1] + w[1:]) + k[1:] * (w[:-1] + 2 * w[1:])) / 6)
+    int_w = np.sum(dk * (w[:-1] + w[1:]) / 2)
+    assert ker.norm_inf == pytest.approx(4 * math.pi * int_kw, rel=1e-14)
+    assert ker.norm_l1 == pytest.approx(8 * math.pi * int_w, rel=1e-14)
+
+
+def test_quantile_inverts_radial_table_cdf():
+    ker = build_kernel(KernelSpec.radial_table(FOUR_PIECES))
+    pts = np.asarray(FOUR_PIECES)
+    us = np.concatenate([[1e-9, 1e-6], np.linspace(0.001, 0.999, 199), [1 - 1e-9, 1 - 1e-12]])
+    xs = ker.quantile(us)
+    half = ker.norm_l1 / 2
+    lower = us <= 0.5
+    assert np.max(np.abs(ker.psi(xs[lower]) / half - us[lower]) / us[lower]) < 1e-12
+    # above 1/2: the mass beyond x, 4 pi int w e^{-xk} dk by quad, against 1 - u
+    for u, x in zip(us[~lower], xs[~lower]):
+        beyond = 4 * math.pi * math.fsum(
+            integrate.quad(lambda q: np.interp(q, pts[:, 0], pts[:, 1]) * math.exp(-x * q),
+                           lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+            for lo, hi in zip(pts[:-1, 0], pts[1:, 0]))
+        assert beyond == pytest.approx((1 - u) * half, rel=1e-10)
+
+
+def test_radial_table_build_makes_no_quad_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy quad called during the kernel build")
+
+    monkeypatch.setattr(integrate, "quad", forbidden)
+    ker = build_kernel(KernelSpec.radial_table(FOUR_PIECES))
+    ker.quantile(0.3)
+    ker.phi_dense(10.0)
