@@ -55,6 +55,9 @@ _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
 _G2 = _G[::-1, 2].tolist()  # Horner order, for the scalar h1
 _TINY = 1e-300  # floor for logs and divisions
+_BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _parts and phi_dense
+_NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
+_NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 
 
 def _series_below_small(out, x, coefs):
@@ -160,7 +163,23 @@ class Kernel:
             self._psi_pp = self._pp.antiderivative(1)
             self._phi_pp = self._pp.antiderivative(2)
             self._mass = float(self._psi_pp(ss[-1]))
+            # the same cubics about the right end of each piece: integrated from the
+            # far end, they give minus the mass beyond x to its own relative accuracy
+            (c3, c2, c1, c0), w = self._pp.c, np.diff(self._pp.x)
+            right = [c3, 3.0 * c3 * w + c2, (3.0 * c3 * w + 2.0 * c2) * w + c1,
+                     ((c3 * w + c2) * w + c1) * w + c0]
+            self._tail_pp = PPoly(np.array(right)[:, ::-1], self._pp.x[::-1]).antiderivative(1)
+            # inverse-CDF nodes: the abscissae, and the midpoints of the brackets
+            # across which h or the mass beyond more than halves, recursively, but
+            # not of those 2^-50 of x wide or with under 2^-50 of the mass beyond
             nodes = ss
+            for _ in range(64):
+                h, tail = self._pp(nodes), -self._tail_pp(nodes)
+                split = (h[:-1] > 2.0 * h[1:]) | (tail[:-1] > 2.0 * tail[1:])
+                split &= (tail[:-1] > 2.0**-50 * self._mass) & (np.diff(nodes) > 2.0**-50 * nodes[1:])
+                if not split.any():
+                    break
+                nodes = np.union1d(nodes, 0.5 * (nodes[:-1] + nodes[1:])[split])
         else:
             self._pp = None
             pts = (np.array([[0.0, 1.0], [spec.cutoff, 1.0]]) if spec.mode == "indicator"
@@ -193,29 +212,38 @@ class Kernel:
         if self._mass > 0.0:
             # keys: minus the mass beyond x (for u > 1/2) and Psi (below), joined
             # into one increasing array; rows [key_i, 1/(key_i+1 - key_i), x_i,
-            # x_i+1 - x_i], with width 0 at the seam between the two halves
-            psi, tail, _ = self._parts(nodes)
-            keys = np.concatenate([-tail, psi])
-            dk = np.diff(keys)
+            # x_i+1 - x_i, m_i, m_i+1], with width 0 at the seam between the two
+            # halves and m = (dkey / dx) / h the Hermite slopes of x(key), which
+            # are capped at 3 so the start stays monotone and inside the bracket
+            psi, tail, h = self._parts(nodes)
+            keys = np.maximum.accumulate(np.concatenate([-tail, psi]))  # rounding can dip
+            dk, xs, hs = np.diff(keys), np.concatenate([nodes, nodes]), np.concatenate([h, h])
             inv_dk = np.divide(1.0, dk, out=np.zeros_like(dk), where=dk > _TINY)
-            xs = np.concatenate([nodes, nodes])
-            self._inverse = keys, np.column_stack([keys[:-1], inv_dk, xs[:-1],
-                                                   np.maximum(np.diff(xs), 0.0)])
+            width = np.maximum(np.diff(xs), 0.0)
+            m = [np.divide(dk, hw, out=np.full_like(dk, 3.0), where=3.0 * hw > dk)
+                 for hw in (hs[:-1] * width, hs[1:] * width)]
+            self._inverse = keys, np.column_stack([keys[:-1], inv_dk, xs[:-1], width, *m])
         self._phi_dense_cache: dict[int, tuple[np.ndarray, float]] = {}
 
     def _parts(self, x):
         """Psi, Psi(inf) - Psi and h at x >= 0 (1-d), stacked; the middle row
-        is computed directly and keeps its relative accuracy in the tail."""
+        is computed directly and keeps its relative accuracy in the tail.  The
+        pieces are summed in passes so each temporary holds about _BLOCK
+        elements."""
         if self._pp is not None:
-            psi = self._psi_pp(x)
-            return np.stack([psi, self._mass - psi, np.maximum(self._pp(x), 0.0)])
-        xc = x[:, None]
-        mom = _moments(xc * self._len)
-        if not self._a.any():  # one piece from k = 0: no shift
-            return np.einsum("jnp,jpk->kn", mom, self._weights)
-        mom *= np.exp(-xc * self._a)
-        out = np.einsum("jnp,jpk->kn", mom, self._weights)
-        out[0] -= np.einsum("np,p->n", np.expm1(-xc * self._a), self._piece_mass)
+            return np.stack([self._psi_pp(x), -self._tail_pp(x), np.maximum(self._pp(x), 0.0)])
+        xc, out = x[:, None], 0.0
+        step = max(1, _BLOCK // max(x.size, 1))  # pieces per pass: bounded temporaries
+        for p in range(0, len(self._a), step):
+            a = self._a[p:p + step]
+            shifted = a.any()  # pieces from k = 0 need no shift
+            mom = _moments(xc * self._len[p:p + step])
+            if shifted:
+                mom *= np.exp(-xc * a)
+            part = np.einsum("jnp,jpk->kn", mom, self._weights[:, p:p + step])
+            if shifted:
+                part[0] -= np.expm1(-xc * a) @ self._piece_mass[p:p + step]
+            out = part if p == 0 else np.add(out, part, out=out)
         return out
 
     def h(self, s):
@@ -280,15 +308,19 @@ class Kernel:
         Cached per power-of-two span (at least 64), with 2^20 nodes.  Blocks
         of 2^16 nodes start from an exact phi() and sum the end-corrected
         trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12 of the
-        exact Psi and h; on the cutoff-1 indicator kernel the nodes are within
-        6.8e-13 of phi() at span 64 (2.5e-11 at span 2048).  As Phi'' = h,
-        linear interpolation is within norm_inf * dx^2 / 8 of phi(): 2.9e-9 up
-        to span 64 on that kernel, four times that per doubling beyond.
+        exact Psi and h, one table piece per pass, so the tracemalloc peak
+        stays at 15-31 MiB up to 64 pieces while the time grows with them
+        (2-core x86: 0.04 s for the indicator, 0.5 s for 8 pieces, 4.3-5.3 s
+        for 64).  The nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
+        indicator kernel (2.5e-11 at span 2048), and 9.7e-13 on a 64-piece
+        radial table.  As Phi'' = h, linear interpolation is within
+        norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the indicator
+        kernel, four times that per doubling beyond.
         """
         need = max(64.0, 2.0 ** np.ceil(np.log2(max(span, 1.0))))
         key = int(need)
         if key not in self._phi_dense_cache:
-            n, block = 1 << 20, 1 << 16
+            n, block = 1 << 20, _BLOCK
             dx = need / (n - 1)
             tab = np.empty(n)
             for start in range(0, n - 1, block):
@@ -307,15 +339,20 @@ class Kernel:
     def quantile(self, u):
         """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1.
 
-        Brackets u in a table of exact CDF values (32 nodes per octave for
-        the form-factor modes, an h table's abscissae), starts from the chord
-        and takes two Newton steps on the exact Psi and h; above u = 1/2 on
-        log(Psi(inf) - Psi(x)) = log((1 - u) Psi(inf)), that mass computed
-        directly, so the tail keeps its relative accuracy.  On 10^5 uniform
-        draws plus 4000 log-spaced ones reaching 1e-15 from either end, the
-        exact CDF is met to 3.5e-15 relative to min(u, 1 - u) on the cutoff-1
-        indicator kernel, to 1.3e-14 on radial tables starting at k > 0, and
-        to 3.5e-13 absolute on an h table, whose tail mass is a difference.
+        Brackets u in a table of exact CDF values at fixed nodes: 0 and 32
+        per octave for the form-factor modes; for an h table its abscissae
+        and the midpoints, recursively, of the brackets across which h or the
+        mass beyond more than halves.  Starts from the cubic Hermite
+        interpolant of x(CDF) on the bracket and takes Newton steps on the
+        exact Psi and h until every step is below 2^-26 of its bracket (at
+        most 8; 2 on the form-factor modes and 2 or 3 on h tables for uniform
+        draws).  Above u = 1/2 it solves log(Psi(inf) - Psi(x)) =
+        log((1 - u) Psi(inf)), that mass computed directly, so the tail keeps
+        its relative accuracy.  On 10^5 uniform draws plus 4000 log-spaced
+        ones reaching 1e-15 from either end, the exact CDF is met to 7.2e-16
+        absolute on each of 21 indicator, radial and h tables (among them
+        h = 1 - s/10 on [0, 10], and tables whose first piece falls from 1 to
+        1e-6), and to 9e-15 relative to min(u, 1 - u) on the form-factor modes.
         """
         if self._inverse is None:
             raise SamplingError("cannot sample displacements from a zero kernel")
@@ -326,15 +363,18 @@ class Kernel:
         upper = u > 0.5
         q = np.where(upper, 1.0 - u, u) * self._mass  # mass beyond x, or below it
         key = np.where(upper, -q, q)
-        idx = np.clip(np.searchsorted(keys, key, side="right") - 1, 0, len(rows) - 1)
-        k0, inv_dk, lo, width = rows[idx].T
-        x = lo + np.clip((key - k0) * inv_dk, 0.0, 1.0) * width
-        log_q = np.log(np.maximum(q, _TINY))
-        for _ in range(2):  # on Psi below, on the log of the mass beyond above
+        idx = np.minimum(np.maximum(np.searchsorted(keys, key, side="right") - 1, 0), len(rows) - 1)
+        k0, inv_dk, lo, width, m0, m1 = rows[idx].T
+        t = np.minimum(np.maximum((key - k0) * inv_dk, 0.0), 1.0)  # cubic Hermite start
+        x = lo + width * (t + t * (1.0 - t) * ((m0 - 1.0) * (1.0 - t) - (m1 - 1.0) * t))
+        hi, log_q = lo + width, np.log(np.maximum(q, _TINY))
+        for _ in range(_NEWTON_MAX):  # on Psi below, on the log of the mass beyond above
             psi, tail, d = self._parts(x)
             f = np.where(upper, (log_q - np.log(np.maximum(tail, _TINY))) * tail, psi - q)
-            x = np.minimum(np.maximum(x - np.divide(f, d, out=np.zeros_like(f), where=d > 0),
-                                      lo), lo + width)
+            step = np.divide(f, d, out=np.zeros_like(f), where=d > 0)
+            x, last = np.minimum(np.maximum(x - step, lo), hi), x
+            if np.all(np.abs(x - last) <= _NEWTON_TOL * width):
+                break
         x = x.reshape(shape)
         return x if x.ndim else float(x)
 

@@ -150,6 +150,33 @@ def test_quantile_tail_solves_exact_cdf(indicator_kernel):
             assert abs(beyond - (1 - u)) <= 1e-12 * (1 - u)
 
 
+def test_quantile_on_coarse_h_table_solves_exact_cdf():
+    # h = 1 - s/10 on [0, 10]: Psi = s - s^2/20, mass 5, CDF 1 - (10 - x)^2/100;
+    # the table's own two abscissae are far too coarse to start Newton from,
+    # and near x = 10 the mass beyond is far below the rounding of Psi
+    ker = build_kernel(KernelSpec.h_table([[0.0, 1.0], [10.0, 0.0]]))
+    for u in (0.1, 0.9, 1 - 1e-9, 1 - 1e-12):
+        x = ker.quantile(u)
+        assert abs((1.0 - (10.0 - x) ** 2 / 100.0) - u) <= 1e-12
+        assert abs(x - (10.0 - 10.0 * math.sqrt(1.0 - u))) <= 4 * math.ulp(10.0)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 1.0], [10.0, 0.0]],
+    [[0.0, 1.0], [10.0, 0.5]],  # h jumps to 0 at the end
+    [[0.0, 1.0], [1.0, 1e-6], [1000.0, 0.0]],  # first piece falls 1e6-fold
+    [[0.0, 1.0], [2.0, 0.3], [5.0, 0.0], [9.0, 0.0]],  # support ends inside the table
+    [[0.0, 1.0], [1.0, 1e-6], [1e9, 0.0]],  # most mass far out; h is rounding near 1e9
+])
+def test_quantile_inverts_h_table_cdf(points):
+    ker = build_kernel(KernelSpec.h_table(points))
+    half = ker.norm_l1 / 2
+    us = np.concatenate([np.geomspace(1e-12, 0.5, 40), 1 - np.geomspace(1e-12, 0.5, 40),
+                         np.linspace(0.001, 0.999, 199)])
+    xs = ker.quantile(us)
+    assert np.max(np.abs(ker.psi(xs) / half - us)) <= 1e-14
+
+
 def test_sampler_matches_density(indicator_kernel, draw_displacement):
     rng = np.random.default_rng(42)
     n = 200_000
@@ -305,6 +332,26 @@ def test_quantile_inverts_radial_table_cdf():
                            lo, hi, epsabs=0.0, epsrel=1e-13)[0]
             for lo, hi in zip(pts[:-1, 0], pts[1:, 0]))
         assert beyond == pytest.approx((1 - u) * half, rel=1e-10)
+
+
+def test_many_piece_evaluation_has_bounded_memory():
+    # the pieces are summed in passes: a 2^16-node call on a 64-piece table
+    # keeps its temporaries near 2^16 elements, and agrees with small calls
+    import tracemalloc
+
+    k = np.linspace(0.0, 4.0, 65)
+    ker = build_kernel(KernelSpec.radial_table(np.column_stack([k, np.exp(-k)])))
+    xs = np.linspace(0.0, 30.0, (1 << 16) + 1)
+    tracemalloc.start()
+    try:
+        h, psi = ker.h(xs), ker.psi(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    few = xs[::4096]
+    np.testing.assert_allclose(h[::4096], ker.h(few), rtol=1e-14)
+    np.testing.assert_allclose(psi[::4096], ker.psi(few), rtol=1e-14)
 
 
 def test_radial_table_build_makes_no_quad_call(monkeypatch):
