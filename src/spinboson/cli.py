@@ -27,8 +27,7 @@ import sys
 
 import numpy as np
 
-from . import combinatorics as comb
-from . import integrator, jump_process, series
+from . import integrator, jump_process, series, verify
 from .errors import (
     CertificateError,
     ConfigError,
@@ -38,13 +37,8 @@ from .errors import (
     StructureError,
 )
 from .kernel import KernelSpec, build_kernel
-from .rng import stream
 
 KERNEL_ENV = "SPINBOSON_KERNEL"
-BKAR_RESIDUAL_TOL = 1e-12
-
-_TAG_TUPLES = 7
-_TAG_BKAR = 8
 
 
 def _load_kernel(args):
@@ -187,197 +181,23 @@ def _cmd_energy(args):
     }, 0
 
 
-def _census(p):
-    matchings = comb.matching_count(p)
-    connecting = len(integrator.cluster_terms(p, p_max=max(p, comb.DEFAULT_P_MAX)))
-    per_tree = [
-        comb.count_compatible_pairs(tree, p, p_max=max(p, comb.DEFAULT_P_MAX))
-        for tree in comb.spanning_trees(p)
-    ]
-    return matchings, connecting, per_tree
-
-
 def _cmd_counts(args):
-    matchings, connecting, per_tree = _census(args.p)
-    return {
-        "p": args.p,
-        "matchings": matchings,
-        "connecting_pairs": connecting,
-        "per_tree_max": max(per_tree) if per_tree else 0,
-        "trees": len(per_tree),
-    }, 0
+    return verify.census(args.p), 0
 
 
-def _cmd_verify_lemma1(args):
-    rng = stream(args.seed, _TAG_TUPLES)
-    reports = []
-    passes = 0
-    for i in range(args.tuples):
-        q = int(rng.integers(1, 7))
-        t = np.cumsum(0.05 + rng.exponential(0.4, size=q)) + rng.uniform(0, 0.5)
-        est = jump_process.estimate_moment_mc(
-            t, samples=args.samples, seed=args.seed + 1 + i, workers=args.workers
+def _cmd_verify(args):
+    cmd = args.verify_command
+    if cmd == "lemma1":
+        doc = verify.lemma1(args.samples, args.seed, args.tuples, workers=args.workers)
+    elif cmd == "bkar":
+        doc = verify.bkar(args.p, args.trials, args.seed)
+    elif cmd == "resummation":
+        doc = verify.resummation(
+            _load_kernel(args), args.horizon, args.budget, args.seed, workers=args.workers
         )
-        want = jump_process.moment_closed_form(t)
-        ok = abs(est.value - want) <= 3 * max(est.std_error, 1e-15)
-        passes += ok
-        reports.append({
-            "times": [float(x) for x in t],
-            "closed_form": want,
-            "mc_value": est.value,
-            "mc_std_error": est.std_error,
-            "within_3_sigma": bool(ok),
-        })
-    required = args.tuples - 2 if args.tuples >= 10 else args.tuples
-    passed = passes >= required
-    return {
-        "tuples": reports,
-        "passes": passes,
-        "required": required,
-        "samples": args.samples,
-        "passed": passed,
-    }, 0 if passed else 1
-
-
-def _cmd_verify_bkar(args):
-    rng = stream(args.seed, _TAG_BKAR, args.p)
-    residuals = []
-    matchings = list(comb.enumerate_matchings(args.p, p_max=args.p))
-    for _ in range(args.trials):
-        m = matchings[int(rng.integers(0, len(matchings)))]
-        starts = rng.uniform(-1.5, 1.5, size=args.p)
-        lengths = rng.exponential(0.8, size=args.p) + 1e-3
-        t = np.empty(2 * args.p)
-        t[0::2] = starts
-        t[1::2] = starts + lengths
-        residuals.append(comb.verify_bkar_identity(m, t))
-    doc = {
-        "p": args.p,
-        "trials": args.trials,
-        "max_residual": max(residuals),
-        "tolerance": BKAR_RESIDUAL_TOL,
-    }
-    if args.p == 2:
-        m = comb.base_matching(2)
-        doc["analytic_disjoint_residual"] = comb.verify_bkar_identity(
-            m, [0.0, 1.0, 2.0, 3.0]
-        )
-        doc["analytic_overlap_residual"] = comb.verify_bkar_identity(
-            m, [0.0, 2.0, 1.0, 3.0]
-        )
-    passed = doc["max_residual"] < BKAR_RESIDUAL_TOL and all(
-        doc.get(k, 0.0) == 0.0
-        for k in ("analytic_disjoint_residual", "analytic_overlap_residual")
-    )
-    doc["passed"] = passed
-    return doc, 0 if passed else 1
-
-
-def _cmd_verify_resummation(args):
-    ker = _load_kernel(args)
-    horizons = args.horizon
-    checks = []
-    for T in horizons:
-        c1_quad = integrator.coefficient(ker, 1, mode="finite", horizon=T, method="quad")
-        c1_mc = integrator.coefficient(
-            ker, 1, mode="finite", horizon=T, method="mc",
-            budget=args.budget, seed=args.seed, workers=args.workers,
-        )
-        c2 = integrator.coefficient(
-            ker, 2, mode="finite", horizon=T, method="mc",
-            budget=args.budget, seed=args.seed + 1, workers=args.workers,
-        )
-        z1 = integrator.brute_force_coefficient(
-            ker, 1, T, budget=2 * args.budget, seed=args.seed + 2, workers=args.workers
-        )
-        z2 = integrator.brute_force_coefficient(
-            ker, 2, T, budget=2 * args.budget, seed=args.seed + 3, workers=args.workers
-        )
-        # order 1: raw coefficient equals the connected one; quadrature pins it
-        err1 = 3 * z1.statistical_error + 1e-4 * abs(c1_quad.value)
-        ok1 = abs(z1.value - c1_quad.value) <= err1
-        okq = abs(c1_mc.value - c1_quad.value) <= (
-            3 * c1_mc.statistical_error + 1e-4 * abs(c1_quad.value)
-        )
-        # order 2: z2 = C2/2 + C1^2/2
-        want2 = c2.value / 2 + c1_quad.value**2 / 2
-        sigma2 = math.sqrt(z2.statistical_error**2 + (c2.statistical_error / 2) ** 2)
-        ok2 = abs(z2.value - want2) <= 3 * sigma2
-        checks.append({
-            "horizon": T,
-            "raw_order1": z1.value,
-            "connected_order1_quad": c1_quad.value,
-            "connected_order1_mc": c1_mc.value,
-            "order1_ok": bool(ok1),
-            "order1_quad_crosscheck_ok": bool(okq),
-            "raw_order2": z2.value,
-            "exp_combination_order2": want2,
-            "order2_sigma": sigma2,
-            "order2_ok": bool(ok2),
-        })
-    passed = all(c["order1_ok"] and c["order1_quad_crosscheck_ok"] and c["order2_ok"]
-                 for c in checks)
-    return {"checks": checks, "budget": args.budget, "passed": passed}, 0 if passed else 1
-
-
-def _cmd_verify_counts(args):
-    doc = {"p": args.p, "checks": {}}
-    ok_counts = all(
-        comb.matching_count(q) == len(list(comb.enumerate_matchings(q, p_max=args.p)))
-        for q in range(1, args.p + 1)
-    )
-    doc["checks"]["matching_counts"] = ok_counts
-
-    def tree_assembles(m, s):
-        try:
-            comb.open_cycles(m, s)
-            return True
-        except StructureError:
-            return False
-
-    ok_even = True
-    ok_consistency = True
-    ok_offspring = True
-    for q in range(1, args.p + 1):
-        for m in comb.enumerate_matchings(q, p_max=args.p):
-            blocks = comb.partition_join(m)
-            ok_even &= all(len(b) % 2 == 0 for b in blocks.point_blocks)
-            conn = list(comb.enumerate_forest_selections(m, connecting_only=True, p_max=args.p))
-            every = list(comb.enumerate_forest_selections(m, p_max=args.p))
-            spanning = [s for s in every if tree_assembles(m, s)]
-            ok_consistency &= sorted(s.micro_edges for s in conn) == sorted(
-                s.micro_edges for s in spanning
-            )
-            for s in conn:
-                opened = comb.open_cycles(m, s)
-                ok_offspring &= sum(opened.offspring) == len(s.micro_edges) <= max(q - 1, 0)
-    doc["checks"]["even_cycle_supports"] = ok_even
-    doc["checks"]["connecting_enumeration_consistent"] = ok_consistency
-    doc["checks"]["offspring_counts"] = ok_offspring
-
-    ok_tree = True
-    per_tree_max = 0
-    for q in range(1, args.p + 1):
-        for tree in comb.spanning_trees(q):
-            n = comb.count_compatible_pairs(tree, q, p_max=args.p)
-            per_tree_max = max(per_tree_max, n) if q == args.p else per_tree_max
-            ok_tree &= n < 4**q
-    doc["checks"]["per_tree_below_4_to_p"] = ok_tree
-    doc["per_tree_max"] = per_tree_max
-
-    ok_cayley = True
-    for q in range(2, 7):
-        census = comb.degree_census(q)
-        for degs, count in census.items():
-            want = math.factorial(q - 2)
-            for d in degs:
-                want //= math.factorial(d - 1)
-            ok_cayley &= count == want
-    doc["checks"]["cayley_degree_formula"] = ok_cayley
-
-    passed = all(doc["checks"].values())
-    doc["passed"] = passed
-    return doc, 0 if passed else 1
+    else:
+        doc = verify.counts(args.p)
+    return doc, 0 if doc["passed"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +302,7 @@ _HANDLERS = {
     "coefficient": _cmd_coefficient,
     "energy": _cmd_energy,
     "counts": _cmd_counts,
-    ("verify", "lemma1"): _cmd_verify_lemma1,
-    ("verify", "bkar"): _cmd_verify_bkar,
-    ("verify", "resummation"): _cmd_verify_resummation,
-    ("verify", "counts"): _cmd_verify_counts,
+    "verify": _cmd_verify,
 }
 
 
@@ -506,9 +323,8 @@ def main(argv=None) -> int:
     if _stochastic_needs_seed(args):
         print("error: --seed is required for stochastic runs", file=sys.stderr)
         return 2
-    key = (args.command, args.verify_command) if args.command == "verify" else args.command
     try:
-        doc, code = _HANDLERS[key](args)
+        doc, code = _HANDLERS[args.command](args)
     except (ConfigError, ResourceError, CertificateError,
             StructureError, SamplingError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

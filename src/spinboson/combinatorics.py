@@ -45,7 +45,6 @@ __all__ = [
     "HARD_P_MAX",
     "base_matching",
     "enumerate_matchings",
-    "random_matching",
     "matching_count",
     "BlockPartition",
     "partition_join",
@@ -111,13 +110,6 @@ def enumerate_matchings(p: int, p_max: Optional[int] = None) -> Iterator[tuple]:
                 yield ((a, b),) + sub
 
     yield from rec(tuple(range(2 * p)))
-
-
-def random_matching(p: int, rng: np.random.Generator) -> tuple:
-    """Uniform perfect matching: shuffle and pair consecutive entries."""
-    perm = rng.permutation(2 * p)
-    pairs = sorted(_norm_edge(int(perm[2 * i]), int(perm[2 * i + 1])) for i in range(p))
-    return tuple(pairs)
 
 
 class _UnionFind:
@@ -332,9 +324,6 @@ class OpenedStructure:
     opened_matching: tuple[tuple[int, int], ...]  # P-edges kept
     deleted_edges: tuple[tuple[int, int], ...]  # one P-edge per cycle
     tree_edges: tuple[tuple, ...]  # (i, j, kind, micro) with kind 'h'|'overlap'
-    root: int
-    parent: tuple[int, ...]  # parent base pair per pair (-1 at root)
-    order: tuple[int, ...]  # BFS order, root first
     steps: tuple[tuple, ...]  # (child, parent, kind, child_point, parent_point)
     offspring: tuple[int, ...]  # number of overlap-edge children per base pair
 
@@ -377,8 +366,7 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
     for i in adj:
         adj[i].sort(key=lambda x: x[0])
 
-    parent = [-1] * p
-    order = [root_pair]
+    order = [root_pair]  # BFS queue
     steps = []
     offspring = [0] * p
     seen = {root_pair}
@@ -390,7 +378,6 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
             if nbr in seen:
                 continue
             seen.add(nbr)
-            parent[nbr] = cur
             order.append(nbr)
             if kind == "h":
                 a, b = micro
@@ -401,10 +388,7 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
                 offspring[cur] += 1
     assert len(order) == p
 
-    return OpenedStructure(
-        opened, tuple(deleted), tuple(tree), root_pair,
-        tuple(parent), tuple(order), tuple(steps), tuple(offspring),
-    )
+    return OpenedStructure(opened, tuple(deleted), tuple(tree), tuple(steps), tuple(offspring))
 
 
 def spanning_trees(p: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -53,7 +53,7 @@ from .combinatorics import (
 )
 from .errors import ResourceError
 from .kernel import Kernel
-from .rng import batch_layout, batch_mean, map_batches, stream
+from .rng import mc_mean
 
 __all__ = [
     "CoefficientEstimate",
@@ -233,25 +233,6 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
     return float(np.sum(vals))
 
 
-def _mc_term(kernel, term, horizon, budget, seed, term_index, workers):
-    ranges = batch_layout(budget)
-    _ = term.volumes  # fill the table once, before the batches share it
-
-    def run_batch(b):
-        start, stop = ranges[b]
-        rng = stream(seed, _TAG_TERM, term_index, b)
-        left = stop - start
-        parts = []
-        while left > 0:
-            n = min(_MC_CHUNK, left)
-            parts.append(_mc_chunk(kernel, term, rng, n, horizon))
-            left -= n
-        return math.fsum(parts)
-
-    sums = map_batches(run_batch, len(ranges), workers)
-    return batch_mean(sums, [stop - start for start, stop in ranges])
-
-
 # ---------------------------------------------------------------------------
 # Quadrature route (p <= 2 time-pairs, kink-aware nested integration)
 # ---------------------------------------------------------------------------
@@ -400,7 +381,11 @@ def integrate_term(
         )
     if method != "mc":
         raise ValueError("method must be 'quad' or 'mc'")
-    value, err = _mc_term(kernel, term, horizon, budget or 200_000, seed, term_index, workers)
+    _ = term.volumes  # fill the table once, before the batches share it
+    value, err = mc_mean(
+        lambda rng, n: _mc_chunk(kernel, term, rng, n, horizon),
+        budget or 200_000, _MC_CHUNK, seed, _TAG_TERM, term_index, workers=workers,
+    )
     return CoefficientEstimate(value, err, 0.0, "monte_carlo", term.p, horizon, None)
 
 
@@ -460,27 +445,17 @@ def brute_force_coefficient(
         raise ResourceError("raw-series coefficients are limited to p <= 3 (2p-dim integral)")
     check_order(p)
     scale = 0.5**p * horizon ** (2 * p) / math.factorial(p)
-    ranges = batch_layout(budget)
 
-    def run_batch(b):
-        start, stop = ranges[b]
-        rng = stream(seed, _TAG_BRUTE, b)
-        left = stop - start
-        parts = []
-        while left > 0:
-            n = min(_MC_CHUNK, left)
-            t = rng.uniform(0.0, horizon, size=(n, 2 * p))
-            hprod = np.ones(n)
-            for j in range(p):
-                hprod *= kernel.h(t[:, 2 * j + 1] - t[:, 2 * j])
-            ts = np.sort(t, axis=1)
-            moment = np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
-            parts.append(float(np.sum(hprod * moment)))
-            left -= n
-        return math.fsum(parts)
+    def draw(rng, n):
+        t = rng.uniform(0.0, horizon, size=(n, 2 * p))
+        hprod = np.ones(n)
+        for j in range(p):
+            hprod *= kernel.h(t[:, 2 * j + 1] - t[:, 2 * j])
+        ts = np.sort(t, axis=1)
+        moment = np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
+        return float(np.sum(hprod * moment))
 
-    sums = map_batches(run_batch, len(ranges), workers)
-    mean, err = batch_mean(sums, [stop - start for start, stop in ranges])
+    mean, err = mc_mean(draw, budget, _MC_CHUNK, seed, _TAG_BRUTE, workers=workers)
     return CoefficientEstimate(
         mean * scale, err * scale, 0.0, "monte_carlo", p, horizon, None
     )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import EstimateUnreliableError
 from .kernel import Kernel
-from .rng import batch_layout, batch_mean, map_batches, stream
+from .rng import mc_mean
 
 __all__ = [
     "SpinPath",
@@ -154,30 +154,19 @@ def estimate_Z(
     """Monte Carlo estimate of Z(alpha, horizon) with batch-means error bars."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    ranges = batch_layout(samples)
     phi_tab, dx = kernel.phi_dense(horizon)
 
-    def run_batch(b):
-        start, stop = ranges[b]
-        rng = stream(seed, _TAG_Z, b)
-        total = []
-        left = stop - start
-        while left > 0:
-            n = min(_CHUNK, left)
-            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            times = _jump_matrix(rng, n, horizon)
-            action = _action_chunk(kernel, signs, times, horizon, phi_tab, dx)
-            expo = 0.5 * alpha * action
-            if float(np.max(np.abs(expo))) > _EXP_LIMIT:
-                raise EstimateUnreliableError(
-                    "exp overflow in Z estimate: alpha * horizon too large"
-                )
-            total.append(float(np.sum(np.exp(expo))))
-            left -= n
-        return math.fsum(total)
+    def draw(rng, n):
+        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        times = _jump_matrix(rng, n, horizon)
+        expo = 0.5 * alpha * _action_chunk(kernel, signs, times, horizon, phi_tab, dx)
+        if float(np.max(np.abs(expo))) > _EXP_LIMIT:
+            raise EstimateUnreliableError(
+                "exp overflow in Z estimate: alpha * horizon too large"
+            )
+        return float(np.sum(np.exp(expo)))
 
-    sums = map_batches(run_batch, len(ranges), workers)
-    value, se = batch_mean(sums, [stop - start for start, stop in ranges])
+    value, se = mc_mean(draw, samples, _CHUNK, seed, _TAG_Z, workers=workers)
     return MCEstimate(value, se, samples, seed)
 
 
@@ -200,30 +189,17 @@ def estimate_moment_mc(times, samples: int, seed: int, workers: int = 1) -> MCEs
     t = np.asarray(times, dtype=float)
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     horizon = float(t[-1])
     q = t.size
-    ranges = batch_layout(samples)
 
-    def run_batch(b):
-        start, stop = ranges[b]
-        rng = stream(seed, _TAG_MOMENT, b)
-        total = []
-        left = stop - start
-        while left > 0:
-            n = min(8 * _CHUNK, left)
-            signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-            jumps = _jump_matrix(rng, n, horizon)
-            flips = np.zeros(n, dtype=np.int64)
-            for ti in t:
-                flips += (jumps <= ti).sum(axis=1)
-            parity = 1.0 - 2.0 * (flips % 2)
-            vals = parity * (signs if q % 2 else 1.0)
-            total.append(float(np.sum(vals)))
-            left -= n
-        return math.fsum(total)
+    def draw(rng, n):
+        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        jumps = _jump_matrix(rng, n, horizon)
+        flips = np.zeros(n, dtype=np.int64)
+        for ti in t:
+            flips += (jumps <= ti).sum(axis=1)
+        parity = 1.0 - 2.0 * (flips % 2)
+        return float(np.sum(parity * (signs if q % 2 else 1.0)))
 
-    sums = map_batches(run_batch, len(ranges), workers)
-    value, se = batch_mean(sums, [stop - start for start, stop in ranges])
+    value, se = mc_mean(draw, samples, 8 * _CHUNK, seed, _TAG_MOMENT, workers=workers)
     return MCEstimate(value, se, samples, seed)

@@ -1,4 +1,5 @@
-"""Counter-based random streams and deterministic batch layout.
+"""Counter-based random streams, deterministic batch layout, and mc_mean,
+the one Monte Carlo batch driver.
 
 Every stochastic estimator in this package draws from Philox streams keyed
 by (seed, *indices).  A stream is a pure function of its key, so estimates
@@ -13,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+# mc_mean is left out: it runs the estimators' own code as a callback, and
+# bench/spans.py times every listed name as work of this module.
 __all__ = ["stream", "batch_layout", "map_batches", "batch_mean"]
 
 
@@ -72,3 +75,22 @@ def batch_mean(batch_sums, batch_sizes) -> tuple[float, float]:
     means = [s / sz for s, sz in zip(batch_sums, batch_sizes)]
     var = math.fsum((m - mean) ** 2 for m in means) / (nb - 1)
     return mean, math.sqrt(var / nb)
+
+
+def mc_mean(draw, samples: int, chunk: int, seed: int, *key: int, workers: int = 1):
+    """Mean and batch-means standard error of a per-sample quantity.
+
+    draw(rng, n) draws n samples from rng and returns the quantity summed
+    over them.  Batch b of batch_layout(samples) draws from stream(seed,
+    *key, b) in chunks of at most `chunk`, so the result depends on (seed,
+    key, samples, chunk) alone, bit for bit, whatever the worker count.
+    """
+    ranges = batch_layout(samples)
+
+    def run_batch(b):
+        start, stop = ranges[b]
+        rng = stream(seed, *key, b)
+        return math.fsum(draw(rng, min(chunk, stop - lo)) for lo in range(start, stop, chunk))
+
+    sums = map_batches(run_batch, len(ranges), workers)
+    return batch_mean(sums, [stop - start for start, stop in ranges])

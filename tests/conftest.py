@@ -30,3 +30,14 @@ def draw_displacement():
         return (rng.integers(0, 2, size=size) * 2 - 1) * mag
 
     return draw
+
+
+@pytest.fixture(scope="session")
+def random_matching():
+    """Uniform perfect matching of 0..2p-1: shuffle and pair consecutive entries."""
+
+    def draw(p, rng):
+        perm = [int(x) for x in rng.permutation(2 * p)]
+        return tuple(sorted((min(a, b), max(a, b)) for a, b in zip(perm[0::2], perm[1::2])))
+
+    return draw

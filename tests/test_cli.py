@@ -5,7 +5,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import spinboson.combinatorics as comb
+from spinboson import verify
 from spinboson.cli import main
+from spinboson.kernel import KernelSpec, build_kernel
 
 
 @pytest.fixture(scope="session")
@@ -196,3 +199,30 @@ def test_help_available_everywhere():
                  ["verify", "bkar", "--help"]):
         code, out = run_cli(argv)
         assert code == 0
+
+
+def test_verify_bkar_integrates_many_selections(monkeypatch):
+    # trials on the base matching reach forest_volume with many selections;
+    # uniformly drawn matchings alone reached it 15 times at this seed
+    calls = []
+    volume = comb.forest_volume
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return volume(*args, **kwargs)
+
+    monkeypatch.setattr(comb, "forest_volume", counting)
+    code, doc = run_json(["verify", "bkar", "--p", "4", "--trials", "20", "--seed", "1"])
+    assert code == 0 and doc["passed"] is True
+    assert len(calls) >= 40
+
+
+def test_verify_library_matches_cli(kernel_cfg):
+    kernel = build_kernel(KernelSpec.from_json(kernel_cfg))
+    doc = verify.resummation(kernel, [2.0], 4000, 7)
+    code, printed = run_json([
+        "verify", "resummation", "--kernel", kernel_cfg, "--horizon", "2",
+        "--budget", "4000", "--seed", "7",
+    ])
+    assert code == (0 if doc["passed"] else 1)
+    assert printed == doc

@@ -19,7 +19,6 @@ from spinboson.combinatorics import (
     matching_count,
     open_cycles,
     partition_join,
-    random_matching,
     spanning_trees,
     verify_bkar_identity,
 )
@@ -142,7 +141,7 @@ def test_interpolated_coupling_rules():
     assert interpolated_coupling(sel2, v2, (0, 1)) == 1.0
 
 
-def test_coupling_vanishes_across_components():
+def test_coupling_vanishes_across_components(random_matching):
     # random instances: coupling nonzero only when the contracted graph plus the
     # selection connects the two base pairs (checked by independent reachability)
     rng = stream(77, 0)
@@ -204,7 +203,7 @@ def test_open_cycles_p2_base():
     assert set(opened.deleted_edges) == set(m)
 
 
-def test_open_cycles_counts_random():
+def test_open_cycles_counts_random(random_matching):
     rng = stream(78, 0)
     for _ in range(30):
         p = int(rng.integers(2, 5))
