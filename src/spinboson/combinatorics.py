@@ -57,6 +57,7 @@ __all__ = [
     "open_cycles",
     "spanning_trees",
     "degree_census",
+    "compatible_pair_counts",
     "count_compatible_pairs",
     "forest_volume",
     "verify_bkar_identity",
@@ -415,30 +416,37 @@ def degree_census(p: int) -> dict[tuple[int, ...], int]:
     return census
 
 
+def compatible_pair_counts(p: int, p_max: Optional[int] = None) -> dict[tuple, int]:
+    """Number of (P, selection) pairs from which some cycle opening yields each
+    tree, keyed by the tree's sorted edges, in one pass over the pairs: each
+    pair is added to every tree its cycle openings give."""
+    check_order(p, p_max)
+    counts: dict[tuple, int] = {}
+    for matching in enumerate_matchings(p, p_max):
+        blocks = partition_join(matching)
+        cycle_pedges = [
+            [e for e in matching if e[0] in pts] for pts in blocks.point_blocks
+        ]
+        openings = []  # contracted edges kept by each deletion that opens every cycle
+        for deletion in itertools.product(*cycle_pedges):
+            kept = [e for e in matching if e not in set(deletion)]
+            sharp = {_norm_edge(a // 2, b // 2) for a, b in kept if a // 2 != b // 2}
+            if len(sharp) == len(kept):
+                openings.append(sharp)
+        for sel in enumerate_forest_selections(matching, connecting_only=True, p_max=p_max):
+            micro = set(sel.micro_edges)
+            for tree in {tuple(sorted(s | micro)) for s in openings if not s & micro}:
+                counts[tree] = counts.get(tree, 0) + 1
+    return counts
+
+
 def count_compatible_pairs(tree_edges, p: int, p_max: Optional[int] = None) -> int:
     """Count (P, selection) pairs from which some cycle opening yields this tree."""
     check_order(p, p_max)
     tree = {_norm_edge(i, j) for i, j in tree_edges}
     if len(tree) != p - 1:
         raise ValueError("tree_edges must form a spanning tree on the base pairs")
-    count = 0
-    for matching in enumerate_matchings(p, p_max):
-        blocks = partition_join(matching)
-        cycle_pedges = [
-            [e for e in matching if e[0] in pts] for pts in blocks.point_blocks
-        ]
-        for sel in enumerate_forest_selections(matching, connecting_only=True, p_max=p_max):
-            micro = set(sel.micro_edges)
-            if not micro <= tree:
-                continue
-            target = tree - micro
-            for deletion in itertools.product(*cycle_pedges):
-                kept = [e for e in matching if e not in set(deletion)]
-                sharp = [_norm_edge(a // 2, b // 2) for a, b in kept if a // 2 != b // 2]
-                if len(sharp) == len(set(sharp)) and set(sharp) == target and len(kept) == len(sharp):
-                    count += 1
-                    break
-    return count
+    return compatible_pair_counts(p, p_max).get(tuple(sorted(tree)), 0)
 
 
 def forest_volume(selection: ForestSelection, overlap):

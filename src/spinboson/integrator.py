@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -92,12 +93,25 @@ class ClusterTerm:
         self.q = len(selection.micro_edges)
         self.sign = (-1.0) ** self.q
         self.pin_pair = pin_pair
-        classes = classify_pairs(selection)
-        self.forest_pairs = [e for e, c in classes if c[0] == "forest"]
-        self.block_pairs = [e for e, c in classes if c[0] == "block"]
-        self.path_pairs = [(e, c[1]) for e, c in classes if c[0] == "path"]
         self._opened = None
         self._volumes = None
+
+    # the pair classes are worked out on first use: enumerating terms stays cheap
+    @cached_property
+    def _classes(self):
+        return classify_pairs(self.selection)
+
+    @cached_property
+    def forest_pairs(self):
+        return [e for e, c in self._classes if c[0] == "forest"]
+
+    @cached_property
+    def block_pairs(self):
+        return [e for e, c in self._classes if c[0] == "block"]
+
+    @cached_property
+    def path_pairs(self):
+        return [(e, c[1]) for e, c in self._classes if c[0] == "path"]
 
     @property
     def opened(self):
@@ -229,8 +243,7 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
         mask &= ~ov[:, i, j]
     if horizon is not None:
         mask &= np.all((s >= 0.0) & (ends <= horizon), axis=1)
-    vals = term.sign * weight * term.volume(ov) * mask
-    return float(np.sum(vals))
+    return term.sign * weight * term.volume(ov) * mask
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +466,7 @@ def brute_force_coefficient(
             hprod *= kernel.h(t[:, 2 * j + 1] - t[:, 2 * j])
         ts = np.sort(t, axis=1)
         moment = np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
-        return float(np.sum(hprod * moment))
+        return hprod * moment
 
     mean, err = mc_mean(draw, budget, _MC_CHUNK, seed, _TAG_BRUTE, workers=workers)
     return CoefficientEstimate(

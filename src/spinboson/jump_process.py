@@ -20,9 +20,12 @@ segment boundaries,
     action = -sum_{k,l} w_k w_l Phi(x_k - x_l),   w_k = sigma_{k+1} - sigma_k,
 
 with sigma the segment signs (0 outside [0,T]); this is exact per path, so
-the only Monte Carlo noise is over paths.  Estimators draw from per-batch
-counter-keyed streams and reduce in fixed batch order, which makes them
-bit-reproducible for any worker count.
+the only Monte Carlo noise is over paths.  As Phi is even with Phi(0) = 0,
+the estimators sum -2 w_k w_l Phi(x_l - x_k) over each path's own k < l
+boundary pairs, M(M-1)/2 of them for M boundaries, in blocks of bounded
+size, so no path is padded to the longest one in its call.  Estimators
+draw from per-batch counter-keyed streams and reduce in fixed batch order,
+which makes them bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024
+_PAIR_BLOCK = 1 << 14  # boundary pairs per block of _action_chunk
 _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
@@ -116,7 +120,12 @@ def interaction_action(path: SpinPath, kernel: Kernel) -> float:
 
 
 def _jump_matrix(rng, n, horizon):
-    """Poisson jump times for n paths, padded past horizon; fixed draw layout."""
+    """Poisson jump times for n paths, padded past horizon; fixed draw layout.
+
+    Every row is extended while any row ends before horizon.  The extra times
+    of a row that already reached it fall past horizon, so no jump count
+    depends on which other rows share the call (rng.mc_mean packs batches).
+    """
     block = max(8, int(horizon + 10.0 * math.sqrt(horizon) + 20.0))
     times = np.cumsum(rng.exponential(size=(n, block)), axis=1)
     while float(times[:, -1].min()) < horizon:
@@ -125,22 +134,40 @@ def _jump_matrix(rng, n, horizon):
     return times
 
 
-def _action_chunk(kernel, signs, times, horizon, phi_tab, dx):
+def _action_chunk(signs, times, horizon, phi_tab, dx):
+    """Action of each path, -2 sum_{k<l} w_k w_l Phi(x_l - x_k) over its own
+    boundary pairs, with Phi linearly interpolated in phi_tab.
+
+    Pairs are ordered by l, so a path with M boundaries takes the first
+    M(M-1)/2 entries of one (k, l) table.  Whole paths are summed in blocks
+    of about _PAIR_BLOCK pairs (one path when it alone has more), each path
+    sequentially by np.bincount, so a path's action does not depend on the
+    other paths in the call and memory is O(n m + _PAIR_BLOCK), not O(n m^2).
+    """
     counts = (times < horizon).sum(axis=1)
-    m_max = int(counts.max())
-    n = times.shape[0]
-    x = np.empty((n, m_max + 2))
+    n, width = times.shape[0], int(counts.max()) + 2
+    x = np.empty((n, width))
     x[:, 0] = 0.0
-    cols = np.arange(m_max)
-    x[:, 1 : m_max + 1] = np.where(cols[None, :] < counts[:, None], times[:, :m_max], horizon)
-    x[:, m_max + 1] = horizon
-    w = _boundary_weights(signs, counts, m_max + 2)
-    d = np.abs(x[:, :, None] - x[:, None, :])
-    pos = d / dx
-    i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
-    frac = pos - i0
-    phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
-    return -np.einsum("nkl,nk,nl->n", phi, w, w)
+    x[:, 1:] = np.where(np.arange(1, width) <= counts[:, None], times[:, : width - 1], horizon)
+    x, w = x.ravel(), _boundary_weights(signs, counts, width).ravel()
+    l_idx, k_idx = np.tril_indices(width, -1)  # (1, 0), (2, 0), (2, 1), (3, 0), ...
+    pairs = (counts + 2) * (counts + 1) // 2
+    ends = np.cumsum(pairs)
+    out = np.zeros(n)
+    lo = 0
+    while lo < n:
+        start = ends[lo] - pairs[lo]
+        hi = max(int(np.searchsorted(ends, start + _PAIR_BLOCK, side="right")), lo + 1)
+        ids = np.repeat(np.arange(lo, hi), pairs[lo:hi])
+        j = np.arange(ids.size) - np.repeat(ends[lo:hi] - pairs[lo:hi] - start, pairs[lo:hi])
+        kk, ll = ids * width + k_idx[j], ids * width + l_idx[j]
+        pos = (x[ll] - x[kk]) / dx
+        i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
+        frac = pos - i0
+        phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
+        out[lo:hi] = np.bincount(ids - lo, weights=w[kk] * w[ll] * phi, minlength=hi - lo)
+        lo = hi
+    return -2.0 * out
 
 
 def estimate_Z(
@@ -159,12 +186,12 @@ def estimate_Z(
     def draw(rng, n):
         signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
         times = _jump_matrix(rng, n, horizon)
-        expo = 0.5 * alpha * _action_chunk(kernel, signs, times, horizon, phi_tab, dx)
+        expo = 0.5 * alpha * _action_chunk(signs, times, horizon, phi_tab, dx)
         if float(np.max(np.abs(expo))) > _EXP_LIMIT:
             raise EstimateUnreliableError(
                 "exp overflow in Z estimate: alpha * horizon too large"
             )
-        return float(np.sum(np.exp(expo)))
+        return np.exp(expo)
 
     value, se = mc_mean(draw, samples, _CHUNK, seed, _TAG_Z, workers=workers)
     return MCEstimate(value, se, samples, seed)
@@ -199,7 +226,7 @@ def estimate_moment_mc(times, samples: int, seed: int, workers: int = 1) -> MCEs
         for ti in t:
             flips += (jumps <= ti).sum(axis=1)
         parity = 1.0 - 2.0 * (flips % 2)
-        return float(np.sum(parity * (signs if q % 2 else 1.0)))
+        return parity * (signs if q % 2 else 1.0)
 
     value, se = mc_mean(draw, samples, 8 * _CHUNK, seed, _TAG_MOMENT, workers=workers)
     return MCEstimate(value, se, samples, seed)

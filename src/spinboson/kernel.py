@@ -242,7 +242,8 @@ class Kernel:
                 mom *= np.exp(-xc * a)
             part = np.einsum("jnp,jpk->kn", mom, self._weights[:, p:p + step])
             if shifted:
-                part[0] -= np.expm1(-xc * a) @ self._piece_mass[p:p + step]
+                # einsum, not a BLAS matvec: each row then sums alike whatever n is
+                part[0] -= np.einsum("np,p->n", np.expm1(-xc * a), self._piece_mass[p:p + step])
             out = part if p == 0 else np.add(out, part, out=out)
         return out
 
@@ -344,15 +345,17 @@ class Kernel:
         and the midpoints, recursively, of the brackets across which h or the
         mass beyond more than halves.  Starts from the cubic Hermite
         interpolant of x(CDF) on the bracket and takes Newton steps on the
-        exact Psi and h until every step is below 2^-26 of its bracket (at
-        most 8; 2 on the form-factor modes and 2 or 3 on h tables for uniform
-        draws).  Above u = 1/2 it solves log(Psi(inf) - Psi(x)) =
-        log((1 - u) Psi(inf)), that mass computed directly, so the tail keeps
-        its relative accuracy.  On 10^5 uniform draws plus 4000 log-spaced
-        ones reaching 1e-15 from either end, the exact CDF is met to 7.2e-16
-        absolute on each of 21 indicator, radial and h tables (among them
-        h = 1 - s/10 on [0, 10], and tables whose first piece falls from 1 to
-        1e-6), and to 9e-15 relative to min(u, 1 - u) on the form-factor modes.
+        exact Psi and h; each element stops once its own step is below 2^-26
+        of its bracket (at most 8; 2 on the form-factor modes and 2 or 3 on h
+        tables for uniform draws), so quantile(u)[i] is quantile(u[i]) bit
+        for bit, whatever else u holds.  Above u = 1/2 it solves
+        log(Psi(inf) - Psi(x)) = log((1 - u) Psi(inf)), that mass computed
+        directly, so the tail keeps its relative accuracy.  On 10^5 uniform
+        draws plus 4000 log-spaced ones reaching 1e-15 from either end, the
+        exact CDF is met to 7.2e-16 absolute on each of 21 indicator, radial
+        and h tables (among them h = 1 - s/10 on [0, 10], and tables whose
+        first piece falls from 1 to 1e-6), and to 9e-15 relative to
+        min(u, 1 - u) on the form-factor modes.
         """
         if self._inverse is None:
             raise SamplingError("cannot sample displacements from a zero kernel")
@@ -368,12 +371,16 @@ class Kernel:
         t = np.minimum(np.maximum((key - k0) * inv_dk, 0.0), 1.0)  # cubic Hermite start
         x = lo + width * (t + t * (1.0 - t) * ((m0 - 1.0) * (1.0 - t) - (m1 - 1.0) * t))
         hi, log_q = lo + width, np.log(np.maximum(q, _TINY))
+        live = np.arange(x.size)  # elements still moving; each stops on its own step
         for _ in range(_NEWTON_MAX):  # on Psi below, on the log of the mass beyond above
-            psi, tail, d = self._parts(x)
-            f = np.where(upper, (log_q - np.log(np.maximum(tail, _TINY))) * tail, psi - q)
+            last, up = x[live], upper[live]
+            psi, tail, d = self._parts(last)
+            f = np.where(up, (log_q[live] - np.log(np.maximum(tail, _TINY))) * tail, psi - q[live])
             step = np.divide(f, d, out=np.zeros_like(f), where=d > 0)
-            x, last = np.minimum(np.maximum(x - step, lo), hi), x
-            if np.all(np.abs(x - last) <= _NEWTON_TOL * width):
+            new = np.minimum(np.maximum(last - step, lo[live]), hi[live])
+            x[live] = new
+            live = live[np.abs(new - last) > _NEWTON_TOL * width[live]]
+            if not live.size:
                 break
         x = x.reshape(shape)
         return x if x.ndim else float(x)

@@ -5,6 +5,13 @@ Every stochastic estimator in this package draws from Philox streams keyed
 by (seed, *indices).  A stream is a pure function of its key, so estimates
 are bit-identical no matter how work is split across workers: each batch
 owns its key and its draws never depend on what other batches did.
+
+Small batches are packed: mc_mean hands consecutive whole batches, up to
+min(chunk, _PACK) samples, to one call of the estimator's vectorized draw,
+through a generator stand-in that takes each batch's rows from that batch's
+own stream.  The draws and the per-batch sums are the ones an unpacked call
+would give; only the number of numpy calls falls.  The packing depends on
+(samples, chunk) alone, so it cannot make results depend on the workers.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+_PACK = 4096  # most samples in one packed draw call: bounds the call's temporaries
 
 # mc_mean is left out: it runs the estimators' own code as a callback, and
 # bench/spans.py times every listed name as work of this module.
@@ -77,20 +86,80 @@ def batch_mean(batch_sums, batch_sizes) -> tuple[float, float]:
     return mean, math.sqrt(var / nb)
 
 
+class _Packed:
+    """Generator stand-in for one call over several whole batches.
+
+    Each draw takes every batch's rows from that batch's own stream, in call
+    order, and concatenates them along axis 0, so each batch sees exactly
+    the draws it would see drawn alone.
+    """
+
+    def __init__(self, streams, sizes):
+        self._streams, self._sizes = streams, sizes
+
+    def _cat(self, name, args, size):
+        rest = tuple(np.atleast_1d(size))[1:]
+        return np.concatenate([getattr(g, name)(*args, size=(m,) + rest)
+                               for g, m in zip(self._streams, self._sizes)])
+
+    def random(self, size):
+        return self._cat("random", (), size)
+
+    def exponential(self, scale=1.0, size=None):
+        return self._cat("exponential", (scale,), size)
+
+    def integers(self, low, high, size=None):
+        return self._cat("integers", (low, high), size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._cat("uniform", (low, high), size)
+
+
+def _groups(ranges, chunk):
+    """Consecutive batches packed into one call while their total stays within
+    min(chunk, _PACK); a larger batch is a group of its own."""
+    cap = min(chunk, _PACK)
+    groups, total = [], 0
+    for b, (start, stop) in enumerate(ranges):
+        size = stop - start
+        if groups and total + size <= cap:
+            groups[-1].append(b)
+            total += size
+        else:
+            groups.append([b])
+            total = size
+    return groups
+
+
 def mc_mean(draw, samples: int, chunk: int, seed: int, *key: int, workers: int = 1):
     """Mean and batch-means standard error of a per-sample quantity.
 
-    draw(rng, n) draws n samples from rng and returns the quantity summed
-    over them.  Batch b of batch_layout(samples) draws from stream(seed,
-    *key, b) in chunks of at most `chunk`, so the result depends on (seed,
-    key, samples, chunk) alone, bit for bit, whatever the worker count.
+    draw(rng, n) draws n samples from rng and returns the quantity per
+    sample, an array of n.  Batch b of batch_layout(samples) draws from
+    stream(seed, *key, b).  A batch larger than min(chunk, _PACK) is drawn
+    alone, in calls of at most `chunk`; smaller consecutive batches are
+    packed into one call of at most that many samples, whose rng draws each
+    batch's rows from the batch's own stream.  Either way every batch sees
+    the same draws and sums its values alone, so the result depends on
+    (seed, key, samples, chunk) alone, bit for bit, whatever the worker
+    count.  A draw whose number of generator calls depends on the values
+    drawn must only append draws that leave its result unchanged when it
+    runs on a packed group.
     """
     ranges = batch_layout(samples)
+    groups = _groups(ranges, chunk)
 
-    def run_batch(b):
-        start, stop = ranges[b]
-        rng = stream(seed, *key, b)
-        return math.fsum(draw(rng, min(chunk, stop - lo)) for lo in range(start, stop, chunk))
+    def run_group(g):
+        batches = groups[g]
+        sizes = [ranges[b][1] - ranges[b][0] for b in batches]
+        streams = [stream(seed, *key, b) for b in batches]
+        if len(batches) == 1:
+            n = sizes[0]
+            return [math.fsum(float(np.sum(draw(streams[0], min(chunk, n - lo))))
+                              for lo in range(0, n, chunk))]
+        vals = draw(_Packed(streams, sizes), sum(sizes))
+        cuts = np.cumsum(sizes)[:-1]
+        return [float(np.sum(part)) for part in np.split(vals, cuts)]
 
-    sums = map_batches(run_batch, len(ranges), workers)
+    sums = [s for group in map_batches(run_group, len(groups), workers) for s in group]
     return batch_mean(sums, [stop - start for start, stop in ranges])

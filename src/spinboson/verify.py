@@ -157,7 +157,8 @@ def census(p: int) -> dict:
         for m in comb.enumerate_matchings(p, p_max)
         for _ in comb.enumerate_forest_selections(m, connecting_only=True, p_max=p_max)
     )
-    per_tree = [comb.count_compatible_pairs(t, p, p_max=p_max) for t in comb.spanning_trees(p)]
+    compatible = comb.compatible_pair_counts(p, p_max)
+    per_tree = [compatible.get(t, 0) for t in comb.spanning_trees(p)]
     return {
         "p": p,
         "matchings": comb.matching_count(p),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import qmc
 from spinboson.combinatorics import (
     base_matching,
     classify_pairs,
+    compatible_pair_counts,
     contracted_multigraph,
     count_compatible_pairs,
     degree_census,
@@ -248,6 +250,36 @@ def test_count_compatible_pairs_small():
     assert n2 < 4**2
     for tree in spanning_trees(3):
         assert count_compatible_pairs(tree, 3) < 4**3
+
+
+def _count_compatible_pairs_per_tree(tree, p):
+    """Reference: every (matching, selection) pair enumerated again per tree."""
+    count = 0
+    for matching in enumerate_matchings(p):
+        blocks = partition_join(matching)
+        cycle_pedges = [[e for e in matching if e[0] in pts] for pts in blocks.point_blocks]
+        for sel in enumerate_forest_selections(matching, connecting_only=True):
+            micro = set(sel.micro_edges)
+            if not micro <= set(tree):
+                continue
+            target = set(tree) - micro
+            for deletion in itertools.product(*cycle_pedges):
+                kept = [e for e in matching if e not in set(deletion)]
+                sharp = [tuple(sorted((a // 2, b // 2))) for a, b in kept if a // 2 != b // 2]
+                if len(sharp) == len(set(sharp)) == len(kept) and set(sharp) == target:
+                    count += 1
+                    break
+    return count
+
+
+def test_compatible_pair_counts_match_per_tree_enumeration():
+    for p in range(1, 5):
+        counts = compatible_pair_counts(p)
+        trees = list(spanning_trees(p))
+        assert [counts.get(t, 0) for t in trees] == [
+            _count_compatible_pairs_per_tree(t, p) for t in trees]
+        # every counted pair opens to a spanning tree
+        assert set(counts) <= set(trees)
 
 
 def test_bkar_identity_analytic_p2():

@@ -31,6 +31,29 @@ def test_term_census():
     assert len(cluster_terms(3)) == 23
 
 
+def test_cluster_terms_classify_pairs_on_first_use(indicator_kernel, monkeypatch):
+    from spinboson import integrator
+
+    calls = [0]
+    classify = integrator.classify_pairs
+
+    def counted(selection):
+        calls[0] += 1
+        return classify(selection)
+
+    monkeypatch.setattr(integrator, "classify_pairs", counted)
+    terms = cluster_terms(4)
+    assert calls[0] == 0
+    picks = (0, 97, 194, 291)
+    for k in picks:
+        eager = cluster_terms(4)[k]
+        _ = eager.forest_pairs, eager.block_pairs, eager.path_pairs
+        a = integrate_term(indicator_kernel, terms[k], budget=300, seed=4, term_index=k)
+        b = integrate_term(indicator_kernel, eager, budget=300, seed=4, term_index=k)
+        assert (a.value, a.statistical_error) == (b.value, b.statistical_error)
+    assert calls[0] == 2 * len(picks)  # once per term, however often it is used
+
+
 def test_order2_term_signs(indicator_kernel):
     # one negative selected-edge term plus two positive hardcore terms
     _, per_term = coefficient(

@@ -7,6 +7,9 @@ from scipy import integrate
 from spinboson.errors import EstimateUnreliableError
 from spinboson.jump_process import (
     SpinPath,
+    _action_chunk,
+    _boundary_weights,
+    _jump_matrix,
     estimate_moment_mc,
     estimate_Z,
     interaction_action,
@@ -175,3 +178,67 @@ def test_moment_mc_deterministic_across_workers():
     a = estimate_moment_mc([0.3, 0.9], samples=30_000, seed=8, workers=1)
     b = estimate_moment_mc([0.3, 0.9], samples=30_000, seed=8, workers=8)
     assert (a.value, a.std_error) == (b.value, b.std_error)
+
+
+def _padded_action(signs, times, horizon, phi_tab, dx):
+    """-sum_{k,l} w_k w_l Phi(|x_k - x_l|) over every path padded to the
+    longest one, Phi linearly interpolated: the O(n m^2) reference."""
+    counts = (times < horizon).sum(axis=1)
+    m_max = int(counts.max())
+    x = np.empty((len(signs), m_max + 2))
+    x[:, 0] = 0.0
+    cols = np.arange(m_max)
+    x[:, 1 : m_max + 1] = np.where(cols[None, :] < counts[:, None], times[:, :m_max], horizon)
+    x[:, m_max + 1] = horizon
+    w = _boundary_weights(signs, counts, m_max + 2)
+    pos = np.abs(x[:, :, None] - x[:, None, :]) / dx
+    i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
+    frac = pos - i0
+    phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
+    return -np.einsum("nkl,nk,nl->n", phi, w, w)
+
+
+def _chunk_with_short_paths(n, horizon, seed):
+    rng = stream(seed, 0)
+    signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+    times = _jump_matrix(rng, n, horizon)
+    times[:3] = horizon + 1.0 + np.arange(times.shape[1])  # no jumps
+    times[3, 0] = 0.5 * horizon  # one jump
+    times[3, 1:] = horizon + 1.0 + np.arange(times.shape[1] - 1)
+    return signs, times
+
+
+def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel):
+    horizon = 30.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    signs, times = _chunk_with_short_paths(1024, horizon, 41)
+    got = _action_chunk(signs, times, horizon, phi_tab, dx)
+    want = _padded_action(signs, times, horizon, phi_tab, dx)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # a path's action does not depend on the other paths of its call
+    parts = [_action_chunk(signs[a:a + 100], times[a:a + 100], horizon, phi_tab, dx)
+             for a in range(0, 1024, 100)]
+    assert np.array_equal(np.concatenate(parts), got)
+    # against the exact Phi: linear interpolation is off by at most
+    # norm_inf dx^2 / 8 per pair, and the table's nodes by under 1e-12
+    counts = (times < horizon).sum(axis=1)
+    for i in list(range(4)) + list(range(4, 1024, 61)):
+        path = SpinPath(int(signs[i]), times[i, : counts[i]], horizon)
+        w = _boundary_weights(signs[i : i + 1], counts[i : i + 1], counts[i] + 2)[0]
+        bound = np.abs(w).sum() ** 2 * (indicator_kernel.norm_inf * dx * dx / 8 + 1e-12)
+        assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
+
+
+def test_action_chunk_memory_is_not_quadratic(indicator_kernel):
+    import tracemalloc
+
+    horizon = 30.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    signs, times = _chunk_with_short_paths(1024, horizon, 42)
+    tracemalloc.start()
+    try:
+        _action_chunk(signs, times, horizon, phi_tab, dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the padded cube needs over 100 MiB here

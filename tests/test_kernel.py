@@ -6,6 +6,7 @@ from scipy import integrate
 
 from spinboson.errors import ConfigError, SamplingError
 from spinboson.kernel import KernelSpec, build_kernel
+from spinboson.rng import stream
 
 
 def test_indicator_norms_match_exact_values(indicator_kernel):
@@ -203,8 +204,6 @@ def test_sampler_matches_density(indicator_kernel, draw_displacement):
 
 
 def test_sampler_deterministic_for_fixed_seed(indicator_kernel, draw_displacement):
-    from spinboson.rng import stream
-
     a = draw_displacement(indicator_kernel, stream(7, 0), size=100)
     b = draw_displacement(indicator_kernel, stream(7, 0), size=100)
     np.testing.assert_array_equal(a, b)
@@ -233,8 +232,6 @@ def test_phi_properties(indicator_kernel):
 def test_phi_dense_interpolation_bound(indicator_kernel):
     # linear interpolation of a function with second derivative h is off by at
     # most max|h| dx^2 / 8; the tables' own rounding is below 1e-12
-    from spinboson.rng import stream
-
     rng = stream(8, 0)
     for span in (30.0, 100.0):
         tab, dx = indicator_kernel.phi_dense(span)
@@ -362,3 +359,18 @@ def test_radial_table_build_makes_no_quad_call(monkeypatch):
     ker = build_kernel(KernelSpec.radial_table(FOUR_PIECES))
     ker.quantile(0.3)
     ker.phi_dense(10.0)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.h_table([[0.0, 1.0], [10.0, 0.0]]),
+])
+def test_quantile_is_elementwise(spec):
+    # Newton stops per element, so a draw never depends on the other draws of
+    # its call, and rng.mc_mean may pack batches into one call
+    ker = build_kernel(spec)
+    us = np.concatenate([stream(9, 0).random(1000), [1e-12, 1 - 1e-12]])
+    xs = ker.quantile(us)
+    alone = np.array([ker.quantile(us[i:i + 1])[0] for i in range(us.size)])
+    assert np.array_equal(xs, alone)

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from spinboson.rng import batch_layout, batch_mean, mc_mean, stream
 
 
-def chunk_max(rng, n):
-    # depends on where the chunks split, so a shifted boundary changes the sum
-    return n * float(np.max(rng.random(n)))
+def per_sample(rng, n):
+    # several generator calls per invocation, so a wrong interleaving of the
+    # batches' streams, a wrong stream index or a shifted slice changes values
+    e = rng.exponential(2.0, size=(n, 2)).sum(axis=1)
+    return e * rng.random(n) + rng.integers(0, 3, size=n) - rng.uniform(-1.0, 1.0, size=n)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -28,9 +30,9 @@ def test_mc_mean_equals_plain_batch_loop(samples, chunk, workers):
         left = stop - start
         while left > 0:
             n = min(chunk, left)
-            parts.append(chunk_max(rng, n))
+            parts.append(float(np.sum(per_sample(rng, n))))
             left -= n
         sums.append(math.fsum(parts))
         sizes.append(stop - start)
     want = batch_mean(sums, sizes)
-    assert mc_mean(chunk_max, samples, chunk, seed, *key, workers=workers) == want
+    assert mc_mean(per_sample, samples, chunk, seed, *key, workers=workers) == want
