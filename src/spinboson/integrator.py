@@ -41,7 +41,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .combinatorics import (
     ForestSelection,
@@ -253,6 +252,9 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
 
 def _quad_pieces(f, points, lo, hi, epsrel):
     """Integrate f over (lo, hi) split at the given interior breakpoints."""
+    # imported here, not at module load: it is large and only quadrature uses it
+    from scipy import integrate
+
     cuts = sorted({x for x in points if lo < x < hi})
     bounds = [lo] + cuts + [hi]
     total = 0.0
@@ -263,6 +265,8 @@ def _quad_pieces(f, points, lo, hi, epsrel):
 
 
 def _quad_term(kernel, term, horizon, budget, pin_pair):
+    from scipy import integrate
+
     if term.p > 2:
         raise ResourceError("deterministic quadrature supported for p <= 2 only")
     evals = [0]
@@ -382,6 +386,8 @@ def integrate_term(
             term.p, horizon, None,
         )
     if method == "quad":
+        from scipy import integrate
+
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", integrate.IntegrationWarning)
             value, warning = _quad_term(kernel, term, horizon, budget, term.pin_pair)

@@ -24,8 +24,9 @@ the only Monte Carlo noise is over paths.  As Phi is even with Phi(0) = 0,
 the estimators sum -2 w_k w_l Phi(x_l - x_k) over each path's own k < l
 boundary pairs, M(M-1)/2 of them for M boundaries, in blocks of bounded
 size, so no path is padded to the longest one in its call.  Estimators
-draw from per-batch counter-keyed streams and reduce in fixed batch order,
-which makes them bit-reproducible for any worker count.
+run on rng.mc_mean: each fixed group of batches draws from its own
+counter-keyed stream and batches reduce in fixed order, which makes them
+bit-reproducible for any worker count.
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ def _jump_matrix(rng, n, horizon):
     """Poisson jump times for n paths, padded past horizon; fixed draw layout.
 
     Every row is extended while any row ends before horizon.  The extra times
-    of a row that already reached it fall past horizon, so no jump count
-    depends on which other rows share the call (rng.mc_mean packs batches).
+    of a row that already reached it fall past horizon, so each row's jumps
+    come from its own draws alone, and the batches that rng.mc_mean packs
+    into one call stay independent.
     """
     block = max(8, int(horizon + 10.0 * math.sqrt(horizon) + 20.0))
     times = np.cumsum(rng.exponential(size=(n, block)), axis=1)

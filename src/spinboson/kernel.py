@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import exp1
 
 from .errors import ConfigError, SamplingError
@@ -155,6 +154,9 @@ class Kernel:
         spec.validate()
         self.spec = spec
         if spec.mode == "h_table":
+            # imported here, not at module load: it is large and only h_table uses it
+            from scipy.interpolate import PchipInterpolator, PPoly
+
             ss, hs = spec.points[:, 0], spec.points[:, 1]
             # Monotone interpolant: stays nonnegative and cannot overshoot the tabulated
             # decay.  A zero piece at the end extrapolates h = 0 and Psi, Phi exactly.

@@ -3,15 +3,16 @@ the one Monte Carlo batch driver.
 
 Every stochastic estimator in this package draws from Philox streams keyed
 by (seed, *indices).  A stream is a pure function of its key, so estimates
-are bit-identical no matter how work is split across workers: each batch
-owns its key and its draws never depend on what other batches did.
+are bit-identical no matter how work is split across workers: each unit of
+work owns its key and its draws never depend on what other units did.
 
-Small batches are packed: mc_mean hands consecutive whole batches, up to
-min(chunk, _PACK) samples, to one call of the estimator's vectorized draw,
-through a generator stand-in that takes each batch's rows from that batch's
-own stream.  The draws and the per-batch sums are the ones an unpacked call
-would give; only the number of numpy calls falls.  The packing depends on
-(samples, chunk) alone, so it cannot make results depend on the workers.
+mc_mean packs consecutive small batches, up to min(chunk, _PACK) samples,
+into one group, and a group is its unit of work with one stream: its
+batches share one call of the estimator's vectorized draw, and each sums
+its own slice of the values.  The grouping depends on (samples, chunk)
+alone, so it cannot make results depend on the workers.
+Where no two consecutive batches fit in min(chunk, _PACK) together, group g
+is batch g, so each batch draws from stream(seed, *key, b) alone.
 """
 
 from __future__ import annotations
@@ -86,35 +87,6 @@ def batch_mean(batch_sums, batch_sizes) -> tuple[float, float]:
     return mean, math.sqrt(var / nb)
 
 
-class _Packed:
-    """Generator stand-in for one call over several whole batches.
-
-    Each draw takes every batch's rows from that batch's own stream, in call
-    order, and concatenates them along axis 0, so each batch sees exactly
-    the draws it would see drawn alone.
-    """
-
-    def __init__(self, streams, sizes):
-        self._streams, self._sizes = streams, sizes
-
-    def _cat(self, name, args, size):
-        rest = tuple(np.atleast_1d(size))[1:]
-        return np.concatenate([getattr(g, name)(*args, size=(m,) + rest)
-                               for g, m in zip(self._streams, self._sizes)])
-
-    def random(self, size):
-        return self._cat("random", (), size)
-
-    def exponential(self, scale=1.0, size=None):
-        return self._cat("exponential", (scale,), size)
-
-    def integers(self, low, high, size=None):
-        return self._cat("integers", (low, high), size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._cat("uniform", (low, high), size)
-
-
 def _groups(ranges, chunk):
     """Consecutive batches packed into one call while their total stays within
     min(chunk, _PACK); a larger batch is a group of its own."""
@@ -135,31 +107,26 @@ def mc_mean(draw, samples: int, chunk: int, seed: int, *key: int, workers: int =
     """Mean and batch-means standard error of a per-sample quantity.
 
     draw(rng, n) draws n samples from rng and returns the quantity per
-    sample, an array of n.  Batch b of batch_layout(samples) draws from
-    stream(seed, *key, b).  A batch larger than min(chunk, _PACK) is drawn
-    alone, in calls of at most `chunk`; smaller consecutive batches are
-    packed into one call of at most that many samples, whose rng draws each
-    batch's rows from the batch's own stream.  Either way every batch sees
-    the same draws and sums its values alone, so the result depends on
+    sample, an array of n.  Group g of consecutive batches of
+    batch_layout(samples) draws from stream(seed, *key, g).  A batch larger
+    than min(chunk, _PACK) is a group alone, drawn in calls of at most
+    `chunk`; smaller consecutive batches share one call of at most that many
+    samples, and each batch sums its own slice of the values.  Batches
+    therefore use disjoint draws, and the result depends on
     (seed, key, samples, chunk) alone, bit for bit, whatever the worker
-    count.  A draw whose number of generator calls depends on the values
-    drawn must only append draws that leave its result unchanged when it
-    runs on a packed group.
+    count.
     """
     ranges = batch_layout(samples)
     groups = _groups(ranges, chunk)
 
     def run_group(g):
-        batches = groups[g]
-        sizes = [ranges[b][1] - ranges[b][0] for b in batches]
-        streams = [stream(seed, *key, b) for b in batches]
+        rng, batches = stream(seed, *key, g), groups[g]
+        start, stop = ranges[batches[0]][0], ranges[batches[-1]][1]
         if len(batches) == 1:
-            n = sizes[0]
-            return [math.fsum(float(np.sum(draw(streams[0], min(chunk, n - lo))))
-                              for lo in range(0, n, chunk))]
-        vals = draw(_Packed(streams, sizes), sum(sizes))
-        cuts = np.cumsum(sizes)[:-1]
-        return [float(np.sum(part)) for part in np.split(vals, cuts)]
+            return [math.fsum(float(np.sum(draw(rng, min(chunk, stop - lo))))
+                              for lo in range(start, stop, chunk))]
+        cuts = [ranges[b][0] - start for b in batches]
+        return np.add.reduceat(draw(rng, stop - start), cuts).tolist()
 
     sums = [s for group in map_batches(run_group, len(groups), workers) for s in group]
     return batch_mean(sums, [stop - start for start, stop in ranges])

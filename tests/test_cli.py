@@ -194,6 +194,23 @@ def test_byte_identical_across_processes(kernel_cfg):
     assert r1.stdout == r2.stdout and r1.stdout
 
 
+def test_monte_carlo_run_does_not_import_quadrature_or_interpolation(kernel_cfg):
+    # only --method quad and h_table kernels use these large scipy modules, so
+    # a Monte Carlo run on a radial kernel must not load them
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from spinboson.cli import main\n"
+        f"main(['coefficient', '--kernel', {kernel_cfg!r}, '--p', '2', '--budget', '1000',"
+        " '--seed', '1'])\n"
+        "print(sorted({'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    assert out.stdout.rstrip().endswith("[]")
+
+
 def test_help_available_everywhere():
     for argv in (["--help"], ["simulate", "--help"], ["verify", "--help"],
                  ["verify", "bkar", "--help"]):

@@ -368,7 +368,7 @@ def test_radial_table_build_makes_no_quad_call(monkeypatch):
 ])
 def test_quantile_is_elementwise(spec):
     # Newton stops per element, so a draw never depends on the other draws of
-    # its call, and rng.mc_mean may pack batches into one call
+    # its call, and the batches rng.mc_mean packs into one call stay independent
     ker = build_kernel(spec)
     us = np.concatenate([stream(9, 0).random(1000), [1e-12, 1 - 1e-12]])
     xs = ker.quantile(us)
