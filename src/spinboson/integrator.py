@@ -18,14 +18,15 @@ over the whole line for the infinite-volume (per-unit-time) coefficients.
 The Monte Carlo route walks the opened spanning tree: pair lengths are
 drawn from Exp(2) (cancelling the exponential weights), tree displacements
 from the normalized kernel density along kernel edges (cancelling those h
-factors) and uniformly over the feasible overlap window along selected
-edges, with exact importance weights; the deleted cycle-closing kernel
-factors and the interpolated hardcore factors are evaluated at the sampled
-configuration.  The (-1)^|F| sign is carried symbolically so weights stay
-positive within a term.  The v-integral is exact: given the sampled
-configuration it depends only on which path-linked pairs overlap, so each
-term looks it up in a table over those overlap patterns, filled from
-combinatorics.forest_volume on first use.
+factors; Kernel.displacement draws them exactly, by composition over the
+momentum on the form-factor modes) and uniformly over the feasible overlap
+window along selected edges, with exact importance weights; the deleted
+cycle-closing kernel factors and the interpolated hardcore factors are
+evaluated at the sampled configuration.  The (-1)^|F| sign is carried
+symbolically so weights stay positive within a term.  The v-integral is
+exact: given the sampled configuration it depends only on which path-linked
+pairs overlap, so each term looks it up in a table over those overlap
+patterns, filled from combinatorics.forest_volume on first use.
 
 The quadrature route (total dimension <= 5, i.e. p <= 2) does nested
 adaptive integration with kink-aware splitting of the inner position
@@ -216,10 +217,8 @@ def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optio
         weight *= horizon
     for child, parent, kind, cpt, ppt in opened.steps:
         if kind == "h":
-            mag = kernel.quantile(rng.random(n))
-            disp = (rng.integers(0, 2, size=n) * 2 - 1) * mag
             t_parent = s[:, parent] + (lengths[:, parent] if ppt % 2 else 0.0)
-            t_child = t_parent + disp
+            t_child = t_parent + kernel.displacement(rng, n)
             s[:, child] = t_child - (lengths[:, child] if cpt % 2 else 0.0)
             weight *= kernel.norm_l1
         else:

@@ -24,7 +24,9 @@ Phi(0) = Phi'(0) = 0), the rectangle mass
     int_a^b dt int_c^d ds h(t - s)
         = Phi(b - c) - Phi(a - c) - Phi(b - d) + Phi(a - d),
 
-and an inverse-CDF sampler for displacements with density h(|s|)/||h||_1.
+and two exact samplers for displacements with density h(|s|)/||h||_1: by
+composition for the form-factor modes (draw the momentum k ~ w(k)/int w,
+then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for h tables.
 Kernels are immutable after build and safe to share across workers.
 """
 
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import ConfigError, SamplingError
 
@@ -203,6 +204,10 @@ class Kernel:
             beta = dw / self._len  # Phi = sum of alpha dA + beta dB / s over the pieces
             self._alpha, self._beta = 4.0 * np.pi * (wa - beta * self._a), 4.0 * np.pi * beta
             self._mass = float(self._piece_mass.sum())
+            # composition sampler: the cumulative piece masses, and per piece
+            # (mass below it, 4 pi len, wa, dw, a, len)
+            cum = np.concatenate([[0.0], np.cumsum(self._piece_mass)])
+            self._momentum = cum[1:], np.column_stack([cum[:-1], c, wa, dw, self._a, self._len])
             if self._mass > 0.0:  # inverse-CDF nodes: 0, then 32 per octave from 2^-30
                 # Psi(inf)/h(0) to where the mass beyond x, < max(w)/(x int w), is < 2^-54
                 lo = 2.0**-30 * self._mass / float(self.h(0.0))
@@ -290,6 +295,9 @@ class Kernel:
         if self._pp is not None:
             out = self._phi_pp(a)
         else:
+            # imported here, not at module load: it is large and only Phi uses it
+            from scipy.special import exp1
+
             x_k = a[:, None] * self._k  # A(X) = X - Ein(X), B(X) = X^2/2 - X - expm1(-X)
             xl = np.maximum(x_k, _SMALL)
             ab = _series_below_small(np.stack([xl - np.euler_gamma - np.log(xl) - exp1(xl),
@@ -338,6 +346,30 @@ class Kernel:
                 step += tab[start]
             self._phi_dense_cache[key] = (tab, dx)
         return self._phi_dense_cache[key]
+
+    def displacement(self, rng, n: int) -> np.ndarray:
+        """n signed displacements with density h(|s|)/||h||_1, from generator rng.
+
+        On the form-factor modes h(|s|)/||h||_1 is the mixture, over momenta
+        k with density w(k)/int w, of the Laplace law with rate k (Devroye,
+        Non-Uniform Random Variate Generation, 1986, II.4), so the draw is
+        exact: k by the closed-form inverse CDF of the piecewise-linear w,
+        from a uniform on (0, 1] so that k > 0, then L / k with L ~
+        Laplace(0, 1).  An h table has no such mixture; it draws
+        sign * quantile(u).  Either way each displacement takes one draw from
+        each of two generator calls.
+        """
+        if self._inverse is None:
+            raise SamplingError("cannot sample displacements from a zero kernel")
+        if self._pp is not None:
+            mag = self.quantile(rng.random(n))
+            return (rng.integers(0, 2, size=n) * 2 - 1) * mag
+        ends, rows = self._momentum
+        q = (1.0 - rng.random(n)) * ends[-1]  # mass below k, in (0, mass]
+        below, c, wa, dw, a, length = rows[np.searchsorted(ends, q)].T
+        r = (q - below) / c  # > 0: solve wa t + dw t^2 / 2 = r by the stable root
+        t = 2.0 * r / (wa + np.sqrt(np.maximum(wa * wa + 2.0 * dw * r, 0.0)))
+        return rng.laplace(size=n) / (a + length * np.minimum(t, 1.0))
 
     def quantile(self, u):
         """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1.

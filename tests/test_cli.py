@@ -195,8 +195,8 @@ def test_byte_identical_across_processes(kernel_cfg):
 
 
 def test_monte_carlo_run_does_not_import_quadrature_or_interpolation(kernel_cfg):
-    # only --method quad and h_table kernels use these large scipy modules, so
-    # a Monte Carlo run on a radial kernel must not load them
+    # only --method quad, h_table kernels and Phi use these large scipy modules,
+    # so a Monte Carlo coefficient run on a radial kernel must not load them
     import subprocess
     import sys
 
@@ -205,7 +205,8 @@ def test_monte_carlo_run_does_not_import_quadrature_or_interpolation(kernel_cfg)
         "from spinboson.cli import main\n"
         f"main(['coefficient', '--kernel', {kernel_cfg!r}, '--p', '2', '--budget', '1000',"
         " '--seed', '1'])\n"
-        "print(sorted({'scipy.integrate', 'scipy.interpolate'} & set(sys.modules)))\n"
+        "print(sorted({'scipy.integrate', 'scipy.interpolate', 'scipy.special'}"
+        " & set(sys.modules)))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
     assert out.stdout.rstrip().endswith("[]")

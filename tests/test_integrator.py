@@ -14,6 +14,7 @@ from spinboson.integrator import (
     integrate_term,
     term_integrand,
 )
+from spinboson.kernel import Kernel, KernelSpec, build_kernel
 from spinboson.rng import stream
 
 CROSS_A = ((0, 2), (1, 3))
@@ -283,8 +284,6 @@ def test_pinned_c3_matches_finite_horizon_slope(indicator_kernel):
 
 def test_pipeline_on_tabulated_kernels(indicator_kernel):
     # radial form-factor table reproducing the sharp cutoff: same coefficients
-    from spinboson.kernel import KernelSpec, build_kernel
-
     radial = build_kernel(KernelSpec.radial_table([[0.0, 1.0], [1.0, 1.0]]))
     for p in (1, 2):
         a = coefficient(indicator_kernel, p, method="quad")
@@ -363,6 +362,27 @@ def test_mc_deterministic_across_workers(indicator_kernel):
     a = coefficient(indicator_kernel, 2, method="mc", budget=30_000, seed=6, workers=1)
     b = coefficient(indicator_kernel, 2, method="mc", budget=30_000, seed=6, workers=3)
     assert (a.value, a.statistical_error) == (b.value, b.statistical_error)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2], [2.0, 0.0]]),
+])
+def test_form_factor_terms_never_call_quantile(spec, monkeypatch):
+    # kernel edges on the form-factor modes are drawn by composition, never
+    # through the Newton inverse CDF
+    def forbidden(self, u):
+        raise AssertionError("Kernel.quantile called on a form-factor kernel")
+
+    monkeypatch.setattr(Kernel, "quantile", forbidden)
+    ker = build_kernel(spec)
+    terms = cluster_terms(3)
+    assert any(kind == "h" for t in terms for _, _, kind, _, _ in t.opened.steps)
+    for i, term in enumerate(terms):
+        for mode, horizon in (("pinned", None), ("finite", 3.0)):
+            est = integrate_term(ker, term, mode=mode, horizon=horizon, budget=200, seed=4,
+                                 term_index=i)
+            assert math.isfinite(est.value)
 
 
 def test_non_connecting_term_rejected(indicator_kernel):

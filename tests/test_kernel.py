@@ -8,6 +8,8 @@ from spinboson.errors import ConfigError, SamplingError
 from spinboson.kernel import KernelSpec, build_kernel
 from spinboson.rng import stream
 
+FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
+
 
 def test_indicator_norms_match_exact_values(indicator_kernel):
     # 4*pi*int_0^1 k dk and 8*pi*int_0^inf ds int_0^1 dk k exp(-s k)
@@ -178,29 +180,73 @@ def test_quantile_inverts_h_table_cdf(points):
     assert np.max(np.abs(ker.psi(xs) / half - us)) <= 1e-14
 
 
-def test_sampler_matches_density(indicator_kernel, draw_displacement):
-    rng = np.random.default_rng(42)
-    n = 200_000
-    s = draw_displacement(indicator_kernel, rng, size=n)
+def _check_displacement_law(kernel, s):
+    """Sign symmetry, the CDF of |s| at four abscissae and E[min(|s|, M)] of
+    signed displacements s against the density h(|s|)/||h||_1."""
+    n = s.size
     # sign symmetry
     frac_pos = np.mean(s > 0)
     assert abs(frac_pos - 0.5) < 3 * math.sqrt(0.25 / n)
     # CDF of |s| at a few abscissae, binomial error bars
-    half = indicator_kernel.norm_l1 / 2
+    half = kernel.norm_l1 / 2
     for x in [0.2, 1.0, 4.0, 20.0]:
-        p = indicator_kernel.psi(x) / half
+        p = kernel.psi(x) / half
         emp = np.mean(np.abs(s) <= x)
         assert abs(emp - p) < 3 * math.sqrt(p * (1 - p) / n) + 1e-9
     # truncated first moment against quadrature (the raw first moment of the
     # cutoff kernel diverges logarithmically, so test E[min(|s|, M)] instead)
     M = 10.0
-    num, _ = integrate.quad(
-        lambda t: min(t, M) * indicator_kernel.h(t), 0, np.inf, epsrel=1e-10, limit=400
-    )
+    num, _ = integrate.quad(lambda t: min(t, M) * kernel.h(t), 0, np.inf, epsrel=1e-10, limit=400)
     mean_trunc = num / half
     emp = np.minimum(np.abs(s), M)
     se = emp.std(ddof=1) / math.sqrt(n)
     assert abs(emp.mean() - mean_trunc) < 3 * se
+
+
+def test_sampler_matches_density(indicator_kernel, draw_displacement):
+    rng = np.random.default_rng(42)
+    n = 200_000
+    _check_displacement_law(indicator_kernel, draw_displacement(indicator_kernel, rng, size=n))
+
+
+# w(0) = 0 at k = 0, so the smallest momenta are the rarest, then a falling piece
+RISE_FALL = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.2], [2.0, 0.0]]
+FORM_FACTOR_SPECS = {
+    "indicator": KernelSpec.indicator(1.0),
+    "from_zero": KernelSpec.radial_table(RISE_FALL),
+    "from_quarter": KernelSpec.radial_table(FOUR_PIECES),
+}
+
+
+@pytest.mark.parametrize("spec", FORM_FACTOR_SPECS.values(), ids=FORM_FACTOR_SPECS.keys())
+def test_displacement_matches_density(spec):
+    ker = build_kernel(spec)
+    _check_displacement_law(ker, ker.displacement(np.random.default_rng(42), 200_000))
+
+
+def test_h_table_displacement_is_the_quantile_draw(table_kernel, draw_displacement):
+    # no momentum mixture for an h table: sign * quantile(u), in the fixture's draw order
+    a = table_kernel.displacement(stream(7, 0), 1000)
+    b = draw_displacement(table_kernel, stream(7, 0), size=1000)
+    assert np.array_equal(a, b)
+
+
+class _ExtremeDraws:
+    """Generator stand-in returning the extreme values numpy can: uniforms 0
+    and 1 - 2^-53, and Laplace variates +-ln(2^52)."""
+
+    def random(self, size):
+        return np.resize([0.0, 1.0 - 2.0**-53], size)
+
+    def laplace(self, size):
+        return np.resize([52 * math.log(2.0), -52 * math.log(2.0)], size)
+
+
+@pytest.mark.parametrize("spec", FORM_FACTOR_SPECS.values(), ids=FORM_FACTOR_SPECS.keys())
+def test_displacement_is_finite_at_extreme_uniforms(spec):
+    # the momentum uniform lies in (0, 1], so k > 0 even on a piece from k = 0
+    s = build_kernel(spec).displacement(_ExtremeDraws(), 4)
+    assert np.all(np.isfinite(s)) and np.all(s != 0.0)
 
 
 def test_sampler_deterministic_for_fixed_seed(indicator_kernel, draw_displacement):
@@ -212,6 +258,10 @@ def test_sampler_deterministic_for_fixed_seed(indicator_kernel, draw_displacemen
 def test_zero_kernel_sampling_raises(zero_kernel, draw_displacement):
     with pytest.raises(SamplingError):
         draw_displacement(zero_kernel, np.random.default_rng(0), size=4)
+    zero_radial = build_kernel(KernelSpec.radial_table([[0.0, 0.0], [1.0, 0.0]]))
+    for ker in (zero_kernel, zero_radial):
+        with pytest.raises(SamplingError):
+            ker.displacement(np.random.default_rng(0), 4)
 
 
 def test_phi_properties(indicator_kernel):
@@ -246,9 +296,6 @@ def test_phi_dense_interpolation_bound(indicator_kernel):
 
 
 # A radial table with w(k_0) > 0 at k_0 > 0 and a jump to 0 after the last point.
-FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
-
-
 def _phi_integrand(y):
     """y - 1 + e^{-y}, by its Taylor series where the closed form cancels."""
     if y < 0.1:
