@@ -225,10 +225,11 @@ def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optio
             span = lengths[:, child] + lengths[:, parent]
             s[:, child] = (s[:, parent] - lengths[:, child]) + rng.random(n) * span
             weight *= span
-    for a, b in opened.deleted_edges:
-        ta = s[:, a // 2] + (lengths[:, a // 2] if a % 2 else 0.0)
-        tb = s[:, b // 2] + (lengths[:, b // 2] if b % 2 else 0.0)
-        weight *= kernel.h(ta - tb)
+    if opened.deleted_edges:  # one h call for all of them, multiplied in edge order
+        t = np.stack([s, s + lengths], axis=2).reshape(n, 2 * p)
+        a, b = np.array(opened.deleted_edges).T
+        for factor in kernel.h(t[:, a] - t[:, b]).T:
+            weight *= factor
     return lengths, s, weight
 
 
@@ -467,8 +468,8 @@ def brute_force_coefficient(
     def draw(rng, n):
         t = rng.uniform(0.0, horizon, size=(n, 2 * p))
         hprod = np.ones(n)
-        for j in range(p):
-            hprod *= kernel.h(t[:, 2 * j + 1] - t[:, 2 * j])
+        for factor in kernel.h(t[:, 1::2] - t[:, 0::2]).T:  # one h call, pairs in order
+            hprod *= factor
         ts = np.sort(t, axis=1)
         moment = np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
         return hprod * moment

@@ -28,6 +28,14 @@ and two exact samplers for displacements with density h(|s|)/||h||_1: by
 composition for the form-factor modes (draw the momentum k ~ w(k)/int w,
 then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for h tables.
 Kernels are immutable after build and safe to share across workers.
+
+On the form-factor modes `h` (every Monte Carlo layer calls it) evaluates h
+alone; `_parts` evaluates Psi, the mass beyond |s| and h together for `psi`,
+`quantile` and `phi_dense`; `phi` sums Ein forms; the scalar `h1` serves
+quadrature.  Against scipy quad of the defining k-integral, at 0, 1e-300, on
+both sides of each piece's series seam and at 150 s from 1e-8 to 700/len, `h`
+is within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
+where e^{-|s|a} at |s|a up to 700 carries |s|a times the rounding of s.
 """
 
 from __future__ import annotations
@@ -201,6 +209,11 @@ class Kernel:
                                       [t0, z, z], [t1, z, z]]).transpose(0, 2, 1)
             self._piece_mass = c * (wa + 0.5 * dw)
             self._h1_pieces = list(zip(*(q.tolist() for q in (self._a, self._len, c0, c1, c2))))
+            # h alone: per piece -len, -a, the G-row weights and the coefficients
+            # d_n = sum_j c_j / (n! (n+j+1)) of its series in z = -|s| len
+            self._h_rows = np.array([-self._len, -self._a, c0, c1, c2])
+            self._h_series = np.abs(_G) @ self._h_rows[2:]
+            self._h_c0, self._h_c2 = bool(c0.any()), bool(c2.any())
             beta = dw / self._len  # Phi = sum of alpha dA + beta dB / s over the pieces
             self._alpha, self._beta = 4.0 * np.pi * (wa - beta * self._a), 4.0 * np.pi * beta
             self._mass = float(self._piece_mass.sum())
@@ -255,10 +268,45 @@ class Kernel:
         return out
 
     def h(self, s):
-        """Kernel value h(s); even in s, nonnegative."""
+        """Kernel value h(s); even in s, nonnegative; h(s)[i] is h(s[i]) bit
+        for bit.  Per piece e^{-|s|a} (c0 G0 + c1 G1 + c2 G2)(|s| len): the G
+        rows by upward recursion from |s| len = _SMALL on, below it the piece's
+        series in Estrin's scheme (4 levels, not Horner's 15 steps), summed over
+        the pieces in passes of about _BLOCK elements; h tables use the PCHIP."""
         x = np.asarray(s, dtype=float)
-        out = self._parts(np.abs(x).ravel())[2].reshape(x.shape)
+        a = np.abs(x).ravel()
+        out = np.maximum(self._pp(a), 0.0) if self._pp is not None else self._h_pieces(a)
+        out = out.reshape(x.shape)
         return out if out.ndim else float(out)
+
+    def _h_pieces(self, x):
+        """h at x >= 0 (1-d) on the form-factor modes."""
+        xc, out = x[:, None], 0.0
+        step = max(1, _BLOCK // max(x.size, 1))  # pieces per pass: bounded temporaries
+        for p in range(0, len(self._a), step):
+            neg_len, neg_a, c0, c1, c2 = self._h_rows[:, p:p + step]
+            z = xc * neg_len
+            zl = np.minimum(z, -_SMALL)
+            e, g0 = np.exp(zl), np.expm1(zl) / zl
+            g1 = (e - g0) / zl
+            val = c1 * g1
+            if self._h_c0:  # skip G rows no piece weighs
+                val += c0 * g0
+            if self._h_c2:
+                val += c2 * ((e - 2.0 * g1) / zl)
+            small = z > -_SMALL
+            zp = z[small]
+            if zp.size:  # sum_n d_n z^n, d_n >= 0: Estrin halves the 16 terms 4 times
+                d = self._h_series[:, p:p + step]
+                d = d[:, np.nonzero(small)[1]] if d.shape[1] > 1 else d
+                while len(d) > 1:
+                    d, zp = d[0::2] + d[1::2] * zp, zp * zp
+                val[small] = d[0]
+            if neg_a[-1] < 0.0:  # a increases; a piece from k = 0 needs no shift
+                val *= np.exp(xc * neg_a)
+            part = val.sum(axis=1) if val.shape[1] > 1 else val[:, 0]
+            out = part if p == 0 else np.add(out, part, out=out)
+        return out
 
     def h1(self, s: float) -> float:
         """Scalar fast path of h (plain-float arithmetic; quadrature hot loops)."""

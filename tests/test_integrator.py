@@ -385,6 +385,28 @@ def test_form_factor_terms_never_call_quantile(spec, monkeypatch):
             assert math.isfinite(est.value)
 
 
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table([[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]),
+])
+def test_form_factor_mc_never_calls_parts(spec, monkeypatch):
+    # Monte Carlo evaluates h alone on the form-factor modes: neither the
+    # deleted cycle edges nor the raw series compute Psi or the mass beyond
+    def forbidden(self, x):
+        raise AssertionError("Kernel._parts called by Monte Carlo")
+
+    ker = build_kernel(spec)  # the build tabulates the CDF through _parts
+    monkeypatch.setattr(Kernel, "_parts", forbidden)
+    terms = cluster_terms(3)
+    assert any(t.opened.deleted_edges for t in terms)
+    for i, term in enumerate(terms):
+        for mode, horizon in (("pinned", None), ("finite", 3.0)):
+            est = integrate_term(ker, term, mode=mode, horizon=horizon, budget=200, seed=4,
+                                 term_index=i)
+            assert math.isfinite(est.value)
+    assert math.isfinite(brute_force_coefficient(ker, 2, 3.0, budget=200, seed=4).value)
+
+
 def test_non_connecting_term_rejected(indicator_kernel):
     m = base_matching(2)
     empty = [s for s in enumerate_forest_selections(m) if not s.micro_edges][0]

@@ -5,10 +5,11 @@ import pytest
 from scipy import integrate
 
 from spinboson.errors import ConfigError, SamplingError
-from spinboson.kernel import KernelSpec, build_kernel
+from spinboson.kernel import _SMALL, KernelSpec, build_kernel
 from spinboson.rng import stream
 
 FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
+RISING_FALLING = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.2], [2.0, 0.0]]  # from k = 0 with w(0) = 0
 
 
 def test_indicator_norms_match_exact_values(indicator_kernel):
@@ -341,6 +342,23 @@ def test_closed_forms_match_quad_of_defining_integrals(spec, points):
         assert ker.h1(s) == pytest.approx(want[0], rel=1e-10, abs=1e-300)
 
 
+@pytest.mark.parametrize("spec, points", [
+    (KernelSpec.indicator(1.0), [[0.0, 1.0], [1.0, 1.0]]),
+    (KernelSpec.radial_table(FOUR_PIECES), FOUR_PIECES),
+    (KernelSpec.radial_table(RISING_FALLING), RISING_FALLING),
+], ids=["indicator", "four_pieces", "rising_falling"])
+def test_h_matches_quad_at_series_seams_and_extremes(spec, points):
+    # h switches from its series to the G-row recursion where |s| len = _SMALL
+    # on each piece: both sides of every seam, 0, 1e-300 and 700/len
+    ker = build_kernel(spec)
+    lengths = np.diff(np.asarray(points)[:, 0])
+    seams = _SMALL / lengths
+    for s in [0.0, 1e-300, *seams * (1 - 2**-20), *seams * (1 + 2**-20), *700.0 / lengths]:
+        want = _defining_integrals(points, s)[0]
+        assert ker.h(s) == pytest.approx(want, rel=1e-12), s
+        assert ker.h(-s) == ker.h(s)
+
+
 def test_indicator_is_the_one_piece_radial_table(indicator_kernel):
     ker = build_kernel(KernelSpec.radial_table([[0.0, 1.0], [1.0, 1.0]]))
     s = np.array([0.0, 1e-6, 0.4, 3.0, 1e3])
@@ -421,3 +439,22 @@ def test_quantile_is_elementwise(spec):
     xs = ker.quantile(us)
     alone = np.array([ker.quantile(us[i:i + 1])[0] for i in range(us.size)])
     assert np.array_equal(xs, alone)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.h_table([[0.0, 1.0], [10.0, 0.0]]),
+])
+def test_h_is_elementwise(spec):
+    # each element takes its own branch of the series seam and the pieces sum
+    # alike for any call size, so the h factors of the batches rng.mc_mean
+    # packs into one call stay independent
+    ker = build_kernel(spec)
+    k = spec.points[:, 0] if spec.points is not None else np.array([0.0, spec.cutoff])
+    seams = _SMALL / np.diff(k)
+    xs = np.concatenate([stream(9, 0).laplace(size=1000), seams,
+                         np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)])
+    hs = ker.h(xs)
+    alone = np.array([ker.h(xs[i:i + 1])[0] for i in range(xs.size)])
+    assert np.array_equal(hs, alone)
