@@ -27,10 +27,21 @@ size, so no path is padded to the longest one in its call.  Estimators
 run on rng.mc_mean: each fixed group of batches draws from its own
 counter-keyed stream and batches reduce in fixed order, which makes them
 bit-reproducible for any worker count.
+
+The mean action is exact, E[A] = 2 int_0^T (T - u) e^{-2u} h(u) du = 2 C_1(T),
+so Z subtracts the first-order term of e^{cA}, c = alpha/2, as a control
+variate with a fixed coefficient: each path contributes
+e^{c(A - E[A])} - c(A - E[A]), and the mean is scaled by e^{c E[A]}.  The
+estimate stays unbiased, its error is measured across batches as before,
+and only the second-order fluctuation is left in it.  On the cutoff-1
+indicator at T = 30, alpha = R_min/2 and 2048 paths the standard error of
+Z is 1.19e-6, against 1.75e-4 for the plain average of e^{cA}: 2.2e4 times
+less variance at the same cost (rms over 40 seeds each).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +66,7 @@ _PAIR_BLOCK = 1 << 14  # boundary pairs per block of _action_chunk
 _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
+_GRADES = 50  # panels [T 2^-j-1, T 2^-j] for j < _GRADES, then [0, T 2^-_GRADES]
 
 
 @dataclass(frozen=True)
@@ -172,6 +184,34 @@ def _action_chunk(signs, times, horizon, phi_tab, dx):
     return -2.0 * out
 
 
+@functools.cache
+def _gauss_legendre():
+    """20-point Gauss-Legendre rule on [-1, 1], made on first use so that
+    importing the package does not import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(20)
+
+
+def _mean_action(kernel: Kernel, horizon: float) -> float:
+    """Exact mean action E[A] = 2 int_0^T (T - u) e^{-2u} h(u) du.
+
+    As E[X(t) X(s)] = e^{-2|t-s|}, this is the first-order part 2 C_1(T) of
+    log Z.  Composite 20-point Gauss-Legendre on panels halving toward u = 0,
+    down to T 2^-50; on h tables the abscissae are panel edges too, as the
+    PCHIP is only C^1 across them.  Within 4.5e-16 relative of scipy quad
+    at T = 0.5, 5 and 30 on the cutoff-1 and cutoff-1000 indicators, a
+    radial table from k = 0.25 and an h table.
+    """
+    edges = np.append(horizon * 2.0 ** -np.arange(_GRADES + 1), 0.0)
+    if kernel.spec.mode == "h_table":
+        edges = np.concatenate([edges, kernel.spec.points[:, 0]])
+    edges = np.unique(edges[edges <= horizon])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    nodes, weights = _gauss_legendre()
+    u = mid[:, None] + half[:, None] * nodes
+    f = (half[:, None] * weights) * (horizon - u) * np.exp(-2.0 * u) * kernel.h(u)
+    return 2.0 * math.fsum(f.ravel().tolist())
+
+
 def estimate_Z(
     alpha: float,
     horizon: float,
@@ -180,23 +220,41 @@ def estimate_Z(
     seed: int,
     workers: int = 1,
 ) -> MCEstimate:
-    """Monte Carlo estimate of Z(alpha, horizon) with batch-means error bars."""
+    """Monte Carlo estimate of Z(alpha, horizon) with batch-means error bars.
+
+    With c = alpha/2 and the exact mean action A_bar (_mean_action), each
+    path contributes e^{c(A - A_bar)} - c(A - A_bar), whose mean is
+    e^{-c A_bar} Z because E[A - A_bar] = 0; the batch-means value and
+    error are then scaled by e^{c A_bar}.  This is the control variate A
+    with the fixed coefficient c e^{c A_bar} (Glasserman, Monte Carlo
+    Methods in Financial Engineering, 2004, 4.1): the estimate stays
+    unbiased, its error is still measured across batches, and the draws are
+    those of the plain average of e^{cA}.  On the cutoff-1 indicator at
+    T = 30, alpha = R_min/2 and 2048 paths, the rms standard error over 40
+    seeds fell from 1.75e-4 to 1.19e-6 (2.2e4 in variance); over 300 seeds
+    the estimates spread by 1.04 times that error.  Raises
+    EstimateUnreliableError once |cA| passes 700.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     phi_tab, dx = kernel.phi_dense(horizon)
+    c = 0.5 * alpha
+    c_mean = c * _mean_action(kernel, horizon)
 
     def draw(rng, n):
         signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
         times = _jump_matrix(rng, n, horizon)
-        expo = 0.5 * alpha * _action_chunk(signs, times, horizon, phi_tab, dx)
+        expo = c * _action_chunk(signs, times, horizon, phi_tab, dx)
         if float(np.max(np.abs(expo))) > _EXP_LIMIT:
             raise EstimateUnreliableError(
                 "exp overflow in Z estimate: alpha * horizon too large"
             )
-        return np.exp(expo)
+        centred = expo - c_mean
+        return np.exp(centred) - centred
 
     value, se = mc_mean(draw, samples, _CHUNK, seed, _TAG_Z, workers=workers)
-    return MCEstimate(value, se, samples, seed)
+    scale = math.exp(c_mean)
+    return MCEstimate(scale * value, scale * se, samples, seed)
 
 
 def moment_closed_form(times) -> float:

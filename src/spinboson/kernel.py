@@ -364,15 +364,19 @@ class Kernel:
     def phi_dense(self, span: float) -> tuple[np.ndarray, float]:
         """Uniform Phi table covering [0, span] for fast linear interpolation.
 
-        Cached per power-of-two span (at least 64), with 2^20 nodes.  Blocks
-        of 2^16 nodes start from an exact phi() and sum the end-corrected
-        trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12 of the
-        exact Psi and h, one table piece per pass, so the tracemalloc peak
-        stays at 15-31 MiB up to 64 pieces while the time grows with them
-        (2-core x86: 0.04 s for the indicator, 0.5 s for 8 pieces, 4.3-5.3 s
-        for 64).  The nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
-        indicator kernel (2.5e-11 at span 2048), and 9.7e-13 on a 64-piece
-        radial table.  As Phi'' = h, linear interpolation is within
+        Cached per power-of-two span (at least 64), with 2^20 nodes.  The
+        nodes chain from Phi(0) = 0 in blocks of 2^16: each block sums the
+        end-corrected trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12
+        of the exact Psi and h by a cumulative sum, and hands the next block
+        its end, the same steps summed pairwise (an exact math.fsum was no
+        closer to phi() and doubled the time).  The exact Psi and h are taken
+        one table piece per pass, so the tracemalloc peak stays at 15-31 MiB
+        up to 64 pieces while the time grows with them (2-core x86: 0.04 s
+        for the indicator, 0.5 s for 8 pieces, 4.3-5.3 s for 64).  No phi()
+        call is made, so building the table loads no scipy.  The nodes are
+        within 6.8e-13 of phi() at span 64 on the cutoff-1 indicator kernel
+        (2.5e-11 at span 2048), and 1.0e-12 on a 4-piece radial table from
+        k = 0.25.  As Phi'' = h, linear interpolation is within
         norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the indicator
         kernel, four times that per doubling beyond.
         """
@@ -382,6 +386,7 @@ class Kernel:
             n, block = 1 << 20, _BLOCK
             dx = need / (n - 1)
             tab = np.empty(n)
+            tab[0] = 0.0
             for start in range(0, n - 1, block):
                 stop = min(start + block, n - 1)
                 psi, _, h = self._parts(np.arange(start, stop + 1) * dx)
@@ -389,9 +394,10 @@ class Kernel:
                 np.add(psi[:-1], psi[1:], out=step)
                 step *= 0.5 * dx
                 step -= (dx * dx / 12.0) * np.diff(h)
+                end = tab[start] + float(np.sum(step))  # pairwise: closer than the cumsum
                 np.cumsum(step, out=step)
-                tab[start] = self.phi(start * dx)
                 step += tab[start]
+                tab[stop] = end
             self._phi_dense_cache[key] = (tab, dx)
         return self._phi_dense_cache[key]
 

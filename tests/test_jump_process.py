@@ -5,18 +5,24 @@ import pytest
 from scipy import integrate
 
 from spinboson.errors import EstimateUnreliableError
+from spinboson.integrator import QUAD_TOL, coefficient
 from spinboson.jump_process import (
     SpinPath,
     _action_chunk,
     _boundary_weights,
     _jump_matrix,
+    _mean_action,
     estimate_moment_mc,
     estimate_Z,
     interaction_action,
     moment_closed_form,
     sample_path,
 )
+from spinboson.kernel import KernelSpec, build_kernel
 from spinboson.rng import stream
+from spinboson.series import radius_bound
+
+FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
 
 
 def test_sample_path_deterministic():
@@ -57,18 +63,22 @@ def test_sign_at_flips():
 
 
 def _action_by_quadrature(path, kernel):
+    """Sum over segment pairs of the signed mass int_a^b dt int_c^d ds h(t - s),
+    each a 1-d quad of h(u) L(u), L(u) the length of [a, b] and [c + u, d + u]
+    overlapping, split at the kinks of L and at u = 0."""
     bounds = np.concatenate([[0.0], path.jump_times, [path.horizon]])
     total = 0.0
     for i in range(len(bounds) - 1):
         for j in range(len(bounds) - 1):
-            si = path.initial_sign * (-1) ** i
-            sj = path.initial_sign * (-1) ** j
-            val, _ = integrate.dblquad(
-                lambda s, t: kernel.h(t - s),
-                bounds[i], bounds[i + 1], bounds[j], bounds[j + 1],
-                epsabs=1e-10, epsrel=1e-8,
-            )
-            total += si * sj * val
+            a, b, c, d = bounds[i], bounds[i + 1], bounds[j], bounds[j + 1]
+
+            def f(u):
+                return kernel.h(u) * max(0.0, min(b, d + u) - max(a, c + u))
+
+            cuts = sorted({a - d, b - c, *(x for x in (a - c, b - d, 0.0) if a - d < x < b - c)})
+            val = math.fsum(integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+                            for lo, hi in zip(cuts[:-1], cuts[1:]))
+            total += (-1) ** (i + j) * val
     return total
 
 
@@ -142,6 +152,58 @@ def test_estimate_Z_agrees_with_naive_path_average(indicator_kernel):
     naive = vals.mean()
     se = math.sqrt(est.std_error**2 + vals.var(ddof=1) / n)
     assert abs(est.value - naive) < 3 * se
+
+
+@pytest.fixture(scope="module")
+def mean_action_kernels(indicator_kernel, table_kernel):
+    # cutoff 1000: h falls on the scale 1e-3, which the panels must resolve near 0
+    return {"indicator": indicator_kernel, "h_table": table_kernel,
+            "radial_table": build_kernel(KernelSpec.radial_table(FOUR_PIECES)),
+            "wide_indicator": build_kernel(KernelSpec.indicator(1000.0))}
+
+
+@pytest.mark.parametrize("name", ["indicator", "radial_table", "h_table", "wide_indicator"])
+@pytest.mark.parametrize("horizon", [0.5, 5.0, 30.0])
+def test_mean_action_matches_quad(mean_action_kernels, name, horizon):
+    # the defining integral 2 int_0^T (T - u) e^{-2u} h(u) du, split at the
+    # h table's abscissae, where its PCHIP is only C^1
+    kernel = mean_action_kernels[name]
+    cuts = [0.0, horizon]
+    if kernel.spec.mode == "h_table":
+        cuts = sorted({0.0, horizon, *(x for x in kernel.spec.points[:, 0] if x < horizon)})
+
+    def f(u):
+        return (horizon - u) * math.exp(-2.0 * u) * kernel.h(u)
+
+    want = 2.0 * math.fsum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                           for a, b in zip(cuts[:-1], cuts[1:]))
+    assert _mean_action(kernel, horizon) == pytest.approx(want, rel=1e-13)
+    c1 = coefficient(kernel, 1, mode="finite", horizon=horizon, method="quad")
+    assert _mean_action(kernel, horizon) == pytest.approx(2.0 * c1.value, rel=QUAD_TOL)
+
+
+@pytest.fixture(scope="module")
+def z_path_estimates(indicator_kernel):
+    """Z at T = 30, alpha = R_min/2, 2048 paths, seeds 1..30."""
+    alpha = radius_bound(indicator_kernel) / 2
+    return [estimate_Z(alpha, 30.0, indicator_kernel, samples=2048, seed=s) for s in range(1, 31)]
+
+
+def test_estimate_Z_reported_error_matches_spread(z_path_estimates, indicator_kernel):
+    # at the z_path inputs, and at T = 5 with c A_bar = 1, where the error is
+    # scaled by e^{c A_bar} = e
+    alpha = 2.0 / _mean_action(indicator_kernel, 5.0)
+    at_t5 = [estimate_Z(alpha, 5.0, indicator_kernel, samples=2000, seed=s) for s in range(1, 31)]
+    for runs in (z_path_estimates, at_t5):
+        values = np.array([z.value for z in runs])
+        rms_error = math.sqrt(np.mean([z.std_error**2 for z in runs]))
+        assert 0.6 <= values.std(ddof=1) / rms_error <= 1.6
+
+
+def test_estimate_Z_control_variate_error(z_path_estimates):
+    # the plain average of e^{cA} gives 1.7e-4 here
+    for z in z_path_estimates:
+        assert z.std_error / z.value < 1e-5
 
 
 def test_moment_closed_form_examples():

@@ -296,6 +296,21 @@ def test_phi_dense_interpolation_bound(indicator_kernel):
         assert err > 0.5 * bound  # the bound is what the table achieves
 
 
+def test_phi_dense_loads_no_scipy():
+    # the Z set-up path: the table chains from Phi(0) = 0, so it needs no phi()
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from spinboson.kernel import KernelSpec, build_kernel\n"
+        "build_kernel(KernelSpec.indicator(1.0)).phi_dense(30.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    assert out.stdout.rstrip().endswith("[]")
+
+
 # A radial table with w(k_0) > 0 at k_0 > 0 and a jump to 0 after the last point.
 def _phi_integrand(y):
     """y - 1 + e^{-y}, by its Taylor series where the closed form cancels."""
