@@ -28,17 +28,20 @@ exact: given the sampled configuration it depends only on which path-linked
 pairs overlap, so each term looks it up in a table over those overlap
 patterns, filled from combinatorics.forest_volume on first use.
 
-The quadrature route (total dimension <= 5, i.e. p <= 2) does nested
-adaptive integration with kink-aware splitting of the inner position
-integral, entirely independent of the sampler.
+The quadrature route (p <= 2) is exact in the times and independent of
+the sampler.  At p = 1 it is the graded Gauss-Legendre rule of
+jump_process._first_order, on every kernel mode.  At p = 2 each kernel
+factor is h(s) = int e^{-|s|k} dmu(k); per order of the endpoints the time
+integral is closed in the momenta, summed on Kernel.momentum_rule (which
+h tables lack).  Its tolerance is the measured change from a coarser rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -53,6 +56,7 @@ from .combinatorics import (
     open_cycles,
 )
 from .errors import ResourceError
+from .jump_process import _first_order
 from .kernel import Kernel
 from .rng import mc_mean
 
@@ -69,14 +73,18 @@ __all__ = [
 _TAG_TERM = 3
 _TAG_BRUTE = 4
 _MC_CHUNK = 1 << 16
-QUAD_TOL = 1e-6
+# Gauss-Legendre nodes per panel at p = 1 (in the pair length) and p = 2 (per
+# momentum): the value, and the coarser rule that its difference is measured against
+_QUAD_NODES = {1: (20, 10), 2: (8, 6)}
+_TAYLOR = 16  # degree of the Taylor sum in _exp_divided_difference
+_QUAD_BLOCK = 1 << 15  # momentum points per block of _order_sum: bounds its temporaries
 
 
 @dataclass(frozen=True)
 class CoefficientEstimate:
     value: float
     statistical_error: float
-    quadrature_tolerance: float  # absolute deterministic-integration budget
+    quadrature_tolerance: float  # |fine - coarse| of two quadrature rules, measured
     method: str  # 'quadrature' | 'monte_carlo'
     p: int
     finite_T: Optional[float] = None
@@ -246,112 +254,86 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
 
 
 # ---------------------------------------------------------------------------
-# Quadrature route (p <= 2 time-pairs, kink-aware nested integration)
+# Quadrature route (p <= 2: exact time integrals per endpoint order)
 # ---------------------------------------------------------------------------
 
 
-def _quad_pieces(f, points, lo, hi, epsrel):
-    """Integrate f over (lo, hi) split at the given interior breakpoints."""
-    # imported here, not at module load: it is large and only quadrature uses it
-    from scipy import integrate
+def _endpoint_orders(term: ClusterTerm):
+    """(weight, 2 cover, span) per order of the 2p endpoints in which every
+    start comes before its end, every forest pair overlaps and no block pair
+    does; the weight is sign * volume(ov).  cover[j] counts the intervals
+    over gap j between consecutive endpoints, and span[e, j] is 1 where
+    matching edge e spans it."""
+    p = term.p
+    gaps = np.arange(2 * p - 1) + 0.5
+    edges = np.array(term.matching)
+    out = []
+    for order in itertools.permutations(range(2 * p)):
+        rank = np.argsort(order)  # position of each endpoint
+        starts, ends = rank[0::2], rank[1::2]
+        if np.any(starts > ends):
+            continue
+        ov = _overlap_matrix(starts, ends)
+        if not all(ov[i, j] for i, j in term.forest_pairs) or any(
+            ov[i, j] for i, j in term.block_pairs
+        ):
+            continue
+        cover = ((starts[:, None] < gaps) & (gaps < ends[:, None])).sum(axis=0)
+        lo, hi = np.sort(rank[edges], axis=1).T
+        span = ((lo[:, None] < gaps) & (gaps < hi[:, None])).astype(float)
+        out.append((term.sign * float(term.volume(ov)), 2.0 * cover, span))
+    return out
 
-    cuts = sorted({x for x in points if lo < x < hi})
-    bounds = [lo] + cuts + [hi]
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        val, _ = integrate.quad(f, a, b, epsabs=1e-13, epsrel=epsrel, limit=200)
-        total += val
-    return total
+
+def _exp_divided_difference(x):
+    """exp[x_0, ..., x_m] per row of x (n, m + 1), x <= 0: the corner of expm
+    of the bidiagonal matrix with diagonal x and ones above it (Opitz;
+    McCurdy, Ng & Parlett, Math. Comp. 43, 1984).  Taylor to degree _TAYLOR
+    at x 2^-s, |x| 2^-s <= 1/2, by Horner, then s squarings of the upper
+    triangle; all entries are positive, so the squarings do not cancel."""
+    m = x.shape[1]
+    s = max(0, math.ceil(math.log2(max(2.0 * float(-x.min()), 1.0))))
+    a, b = x.T * 2.0**-s, 2.0**-s
+    one, zero = np.ones(len(x)), np.zeros(len(x))
+    e = {(i, j): one if i == j else zero for i in range(m) for j in range(i, m)}
+    for q in range(_TAYLOR, 0, -1):  # e = I + A e / q
+        aq, bq = a / q, b / q
+        e = {(i, j): aq[i] * e[i, j] + (bq * e[i + 1, j] if i < j else 1.0) for i, j in e}
+    for level in range(s, -1, -1):
+        # the diagonal is exp(x 2^-level) exactly: squaring it would double its
+        # rounding error at every level
+        e.update({(i, i): d for i, d in enumerate(np.exp(x.T * 2.0**-level))})
+        if level:
+            e = {(i, j): sum((e[i, l] * e[l, j] for l in range(i + 1, j + 1)), e[i, i] * e[i, j])
+                 for i, j in e}
+    return e[0, m - 1]
 
 
-def _quad_term(kernel, term, horizon, budget, pin_pair):
-    from scipy import integrate
-
-    if term.p > 2:
-        raise ResourceError("deterministic quadrature supported for p <= 2 only")
-    evals = [0]
-
-    if term.p == 1:
-        def f(length):
-            evals[0] += 1
-            return term_integrand(kernel, term, np.array([0.0, length]))
-
-        if horizon is None:
-            val, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=QUAD_TOL / 50, limit=300)
-        else:
-            val, _ = integrate.quad(
-                lambda u: (horizon - u) * f(u), 0.0, horizon,
-                epsabs=1e-14, epsrel=QUAD_TOL / 50, limit=300,
-            )
-        warning = "evaluation budget exceeded" if budget and evals[0] > budget else None
-        return val, warning
-
-    pin = pin_pair
-    free = 1 - pin
-    # Compile the integrand to plain-float form.  With the pinned pair at 0
-    # and the free pair starting at pos, every point time is
-    # t = pos*(pair == free) + length*(odd point), so each cross kernel factor
-    # is h(sigma*pos + c) with sigma = +-1 and c a length combination.
-    internal_pairs = [a // 2 for a, b in term.matching if a // 2 == b // 2]
-    cross_edges = [(a, b) for a, b in term.matching if a // 2 != b // 2]
-    hardcore = bool(term.block_pairs)
-    h1 = kernel.h1
-
-    def inner(l_pin, l_free):
-        lengths = (l_pin, l_free) if pin == 0 else (l_free, l_pin)
-        const = math.exp(-2.0 * (l_pin + l_free))
-        for i in internal_pairs:
-            const *= h1(lengths[i])
-        cross = []
-        kinks = {-l_free, l_pin}
-        for a, b in cross_edges:
-            sigma = 1.0 if a // 2 == free else -1.0
-            c = (lengths[a // 2] if a % 2 else 0.0) - (lengths[b // 2] if b % 2 else 0.0)
-            cross.append((sigma, c))
-            kinks.add(-sigma * c)
-
-        def f(pos):
-            evals[0] += 1
-            val = const
-            for sigma, c in cross:
-                val *= h1(sigma * pos + c)
-            return val
-
-        if horizon is None:
-            if hardcore:
-                lo = _quad_pieces(f, kinks, -np.inf, -l_free, QUAD_TOL / 100)
-                hi = _quad_pieces(f, kinks, l_pin, np.inf, QUAD_TOL / 100)
-                return lo + hi
-            return -_quad_pieces(f, kinks, -l_free, l_pin, QUAD_TOL / 100)
-        # finite horizon: the translation zero-mode is integrated out exactly,
-        # weighting by the number of allowed root positions in the box
-        T = horizon
-
-        def g(pos):
-            width = min(T - l_pin, T - pos - l_free) - max(0.0, -pos)
-            if width <= 0.0:
-                return 0.0
-            if hardcore and -l_free <= pos <= l_pin:
-                return 0.0
-            if not hardcore and not (-l_free <= pos <= l_pin):
-                return 0.0
-            return width * f(pos) * (1.0 if hardcore else -1.0)
-
-        kinks |= {0.0, l_pin - l_free, T - l_free, l_pin - T}
-        return _quad_pieces(g, kinks, l_pin - T, T - l_free, QUAD_TOL / 100)
-
-    top = np.inf if horizon is None else horizon
-
-    def mid(l_pin):
-        val, _ = integrate.quad(
-            lambda l_free: inner(l_pin, l_free), 0.0, top,
-            epsabs=1e-13, epsrel=QUAD_TOL / 20, limit=120,
-        )
-        return val
-
-    val, _ = integrate.quad(mid, 0.0, top, epsabs=1e-13, epsrel=QUAD_TOL / 4, limit=120)
-    warning = "evaluation budget exceeded" if budget and evals[0] > budget else None
-    return val, warning
+def _order_sum(kernel: Kernel, term: ClusterTerm, horizon, n: int):
+    """Value of the term, summed over its endpoint orders with the momenta
+    of its p kernel factors on the tensor grid of kernel.momentum_rule(n)
+    in blocks of _QUAD_BLOCK points, and the number of points.  Gap j of an
+    order has rate Lambda_j: 2 per interval over it plus the momentum of
+    each edge spanning it.  Pinned, the gaps give prod 1/Lambda_j; in
+    [0, T], T^{2p} exp[-Lambda_1 T, ..., -Lambda_{2p-1} T, 0, 0]."""
+    k, c = kernel.momentum_rule(n)
+    p = term.p
+    orders = _endpoint_orders(term)
+    points = len(k) ** p
+    parts = []
+    for lo in range(0, points, _QUAD_BLOCK):
+        idx = np.unravel_index(np.arange(lo, min(lo + _QUAD_BLOCK, points)), (len(k),) * p)
+        ks = np.stack([k[i] for i in idx], axis=1)
+        cs = np.prod([c[i] for i in idx], axis=0)
+        for weight, cover, span in orders:
+            lam = cover + ks @ span
+            if horizon is None:
+                g = 1.0 / np.prod(lam, axis=1)
+            else:
+                x = np.concatenate([-horizon * lam, np.zeros((len(lam), 2))], axis=1)
+                g = horizon ** (2 * p) * _exp_divided_difference(x)
+            parts.append(weight * float(cs @ g))
+    return math.fsum(parts), points
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +368,16 @@ def integrate_term(
             term.p, horizon, None,
         )
     if method == "quad":
-        from scipy import integrate
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", integrate.IntegrationWarning)
-            value, warning = _quad_term(kernel, term, horizon, budget, term.pin_pair)
-        if warning is None and any(
-            issubclass(w.category, integrate.IntegrationWarning) for w in caught
-        ):
-            warning = "quadrature tolerance may not be met"
+        if term.p > 2:
+            raise ResourceError("deterministic quadrature supported for p <= 2 only")
+        route = (partial(_first_order, kernel, horizon) if term.p == 1
+                 else partial(_order_sum, kernel, term, horizon))
+        n_fine, n_coarse = _QUAD_NODES[term.p]
+        value, points = route(n_fine)
+        coarse, _ = route(n_coarse)
+        warning = "evaluation budget exceeded" if budget and points > budget else None
         return CoefficientEstimate(
-            value, 0.0, QUAD_TOL * abs(value), "quadrature", term.p, horizon, warning
+            value, 0.0, abs(value - coarse), "quadrature", term.p, horizon, warning
         )
     if method != "mc":
         raise ValueError("method must be 'quad' or 'mc'")
@@ -424,8 +405,10 @@ def coefficient(
     """Connected coefficient of order p: sum of all connecting cluster terms.
 
     budget is the Monte Carlo sample count per term (default 200000); for
-    the quadrature method it optionally caps integrand evaluations, flagging
-    the estimate when exhausted.  Statistical errors combine in quadrature;
+    the quadrature method it optionally caps the points the rule evaluates
+    per term, flagging the estimate when the rule needs more.  The
+    quadrature tolerance of a term is the measured difference between the
+    rule and a coarser one.  Statistical errors combine in quadrature;
     deterministic tolerances add.
     """
     terms = cluster_terms(p, p_max=p_max, pin_pair=pin_pair)

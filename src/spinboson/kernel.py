@@ -31,17 +31,18 @@ Kernels are immutable after build and safe to share across workers.
 
 On the form-factor modes `h` (every Monte Carlo layer calls it) evaluates h
 alone; `_parts` evaluates Psi, the mass beyond |s| and h together for `psi`,
-`quantile` and `phi_dense`; `phi` sums Ein forms; the scalar `h1` serves
-quadrature.  Against scipy quad of the defining k-integral, at 0, 1e-300, on
-both sides of each piece's series seam and at 150 s from 1e-8 to 700/len, `h`
-is within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
+`quantile` and `phi_dense`; `phi` sums Ein forms; `momentum_rule` hands out
+the Gauss-Legendre rule for 4 pi k w(k) dk that order-2 quadrature uses.
+Against scipy quad of the defining k-integral, at 0, 1e-300, on both sides
+of each piece's series seam and at 150 s from 1e-8 to 700/len, `h` is
+within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
 where e^{-|s|a} at |s|a up to 700 carries |s|a times the rounding of s.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,11 +62,11 @@ _G = np.stack([(-1.0) ** _N / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
 _GF = np.column_stack([_G, (_N > 0)[:, None] * -_G[:, :2]])
 _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
-_G2 = _G[::-1, 2].tolist()  # Horner order, for the scalar h1
 _TINY = 1e-300  # floor for logs and divisions
 _BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _parts and phi_dense
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
+_K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
 
 
 def _series_below_small(out, x, coefs):
@@ -88,6 +89,21 @@ def _moments(y):
     np.subtract(1.0, g0, out=f0)
     np.subtract(0.5, g1, out=f1)
     return _series_below_small(out, y, _GF)
+
+
+@functools.cache
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre rule on [-1, 1], made on first use so that
+    importing the package does not import numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panel_rule(edges, n: int):
+    """Composite n-point Gauss-Legendre nodes and weights on the panels
+    between the increasing edges, panel by panel."""
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    x, w = _gauss_legendre(n)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,6 @@ class Kernel:
             self._weights = np.array([[z, t0, c0], [z, t1, c1], [z, z, c2],
                                       [t0, z, z], [t1, z, z]]).transpose(0, 2, 1)
             self._piece_mass = c * (wa + 0.5 * dw)
-            self._h1_pieces = list(zip(*(q.tolist() for q in (self._a, self._len, c0, c1, c2))))
             # h alone: per piece -len, -a, the G-row weights and the coefficients
             # d_n = sum_j c_j / (n! (n+j+1)) of its series in z = -|s| len
             self._h_rows = np.array([-self._len, -self._a, c0, c1, c2])
@@ -309,26 +324,25 @@ class Kernel:
         return out
 
     def h1(self, s: float) -> float:
-        """Scalar fast path of h (plain-float arithmetic; quadrature hot loops)."""
-        x = abs(s)
+        """h at one point, as a float."""
+        return float(self.h(s))
+
+    def momentum_rule(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes k and weights c of a rule for the momentum measure
+        dmu(k) = 4 pi k w(k) dk, so that h(s) = int e^{-|s|k} dmu(k) is about
+        sum c e^{-|s|k}: n-point Gauss-Legendre per table piece, on panels
+        that halve toward k = 0, down to below 2^-_K_GRADES, for a piece
+        starting there.  An h table has no momentum measure: ConfigError.
+        """
         if self._pp is not None:
-            return max(float(self._pp(x)), 0.0)
-        total = 0.0
-        for a, length, c0, c1, c2 in self._h1_pieces:
-            y = x * length
-            e = math.exp(-y)
-            if y < _SMALL:  # series for G_2, then G_{j-1} = (y G_j + e^{-y}) / j
-                g2 = 0.0
-                for coef in _G2:
-                    g2 = g2 * y + coef
-                g1 = 0.5 * (y * g2 + e)
-                g0 = y * g1 + e
-            else:
-                g0 = -math.expm1(-y) / y
-                g1 = (g0 - e) / y
-                g2 = (2.0 * g1 - e) / y
-            total += math.exp(-x * a) * (c0 * g0 + c1 * g1 + c2 * g2)
-        return total
+            raise ConfigError("an h_table kernel has no momentum measure: use --method mc")
+        ks, cs = [], []
+        for _, c, wa, dw, a, length in self._momentum[1]:
+            grades = _K_GRADES + max(0, int(np.ceil(np.log2(length)))) if a == 0.0 else 0
+            t, wt = _panel_rule(np.append(0.0, 2.0 ** -np.arange(grades, -1, -1)), n)
+            ks.append(a + length * t)
+            cs.append(c * wt * ks[-1] * (wa + dw * t))
+        return np.concatenate(ks), np.concatenate(cs)
 
     def psi(self, s):
         """First antiderivative int_0^s h; odd in s."""

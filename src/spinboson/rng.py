@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 _PACK = 4096  # most samples in one packed draw call: bounds the call's temporaries
+_BATCHES = 100  # batches per estimate, the fewer when there are fewer samples
 
 # mc_mean is left out: it runs the estimators' own code as a callback, and
 # bench/spans.py times every listed name as work of this module.
@@ -35,14 +36,15 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def batch_layout(samples: int, n_batches: int = 100) -> list[tuple[int, int]]:
-    """Fixed (start, stop) ranges splitting `samples` into near-equal batches.
+def batch_layout(samples: int) -> list[tuple[int, int]]:
+    """Fixed (start, stop) ranges splitting `samples` into min(samples,
+    _BATCHES) near-equal batches.
 
-    The layout depends only on (samples, n_batches), never on worker count.
+    The layout depends only on samples, never on worker count.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    nb = min(n_batches, samples)
+    nb = min(_BATCHES, samples)
     base, extra = divmod(samples, nb)
     ranges = []
     start = 0

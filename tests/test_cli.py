@@ -244,3 +244,27 @@ def test_verify_library_matches_cli(kernel_cfg):
     ])
     assert code == (0 if doc["passed"] else 1)
     assert printed == doc
+
+
+def test_h_table_c2_quadrature_exits_2(tmp_path):
+    cfg = tmp_path / "h_table.json"
+    cfg.write_text(json.dumps({"mode": "h_table", "points": [[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]]}))
+    code, _ = run_cli(["coefficient", "--kernel", str(cfg), "--p", "2", "--method", "quad"])
+    assert code == 2
+
+
+def test_c2_quadrature_loads_no_scipy(kernel_cfg):
+    # the order sum needs numpy alone, pinned and at finite T
+    import subprocess
+    import sys
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from spinboson.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['coefficient', '--kernel', {kernel_cfg!r}, '--p', '2',"
+        " '--method', 'quad'] + extra) for extra in ([], ['--finite-T', '5'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    assert out.stdout.strip() == "[0, 0] []"

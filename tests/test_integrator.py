@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from spinboson.combinatorics import base_matching, enumerate_forest_selections, forest_volume
-from spinboson.errors import ResourceError, StructureError
+from spinboson.errors import ConfigError, ResourceError, StructureError
 from spinboson.integrator import (
     ClusterTerm,
+    _exp_divided_difference,
     brute_force_coefficient,
     cluster_terms,
     coefficient,
@@ -422,3 +423,81 @@ def test_quadrature_capped_at_p2(indicator_kernel):
 def test_brute_force_capped(indicator_kernel):
     with pytest.raises(ResourceError):
         brute_force_coefficient(indicator_kernel, 4, 2.0, budget=10)
+
+
+# c_2 on the cutoff-1 indicator, pinned and at T = 2, 5, 30: a momentum grid
+# of 24 grades and 20 nodes per panel agrees to 1e-15; the nested scipy
+# quadrature of earlier versions missed them by up to 6.6e-10.
+C2_INDICATOR = {None: 15.1279351742455, 2.0: 7.27822544598524, 5.0: 46.1724734908785,
+                30.0: 423.082227370683}
+
+
+@pytest.mark.parametrize("horizon", [None, 2.0, 5.0, 30.0])
+def test_c2_quadrature_values_and_measured_error(indicator_kernel, horizon):
+    mode = "pinned" if horizon is None else "finite"
+    est = coefficient(indicator_kernel, 2, mode=mode, horizon=horizon, method="quad")
+    assert est.value == pytest.approx(C2_INDICATOR[horizon], rel=1e-11)
+    assert est.warning is None
+    assert 0.0 <= est.quadrature_tolerance <= 1e-8 * abs(est.value)
+
+
+def test_pinned_quadrature_independent_of_pin_pair(indicator_kernel):
+    # the pinned pair does not enter the gap integrals
+    a = coefficient(indicator_kernel, 2, method="quad", pin_pair=0)
+    b = coefficient(indicator_kernel, 2, method="quad", pin_pair=1)
+    assert a.value == b.value
+
+
+def test_h_table_c2_quadrature_rejected(table_kernel):
+    with pytest.raises(ConfigError, match="--method mc"):
+        coefficient(table_kernel, 2, method="quad")
+
+
+@pytest.mark.parametrize("horizon", [None, 0.5, 5.0, 30.0])
+def test_c1_quadrature_on_h_table_matches_split_quad(table_kernel, horizon):
+    # the defining integral, split at the table's abscissae (PCHIP is C^1 there)
+    top = 64.0 if horizon is None else horizon
+    cuts = sorted({0.0, top, *(x for x in table_kernel.spec.points[:, 0] if x < top)})
+
+    def f(u):
+        return (1.0 if horizon is None else horizon - u) * math.exp(-2.0 * u) * table_kernel.h(u)
+
+    want = math.fsum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(cuts[:-1], cuts[1:]))
+    mode = "pinned" if horizon is None else "finite"
+    est = coefficient(table_kernel, 1, mode=mode, horizon=horizon, method="quad")
+    assert est.value == pytest.approx(want, rel=1e-13)
+    assert est.quadrature_tolerance <= 1e-12 * est.value
+
+
+def _g(x, m):
+    """exp[x, 0, ..., 0] with m zeros: (e^x - sum_{k<m} x^k / k!) / x^m."""
+    return (math.exp(x) - math.fsum(x**k / math.factorial(k) for k in range(m))) / x**m
+
+
+@pytest.mark.parametrize("rows", [
+    [[-3.0, -0.5]],
+    [[-40.0, -7.0, -0.25, 0.0]],
+    [[-2.5, 0.0, 0.0], [-0.1, 0.0, 0.0], [-700.0, 0.0, 0.0]],
+    # one call: the last row sets 14 squarings for all three
+    [[-0.3, -1.1, -2.6, 0.0, 0.0], [-5.0, -9.0, -14.0, 0.0, 0.0], [-6000.0, 0.0, 0.0, 0.0, 0.0]],
+])
+def test_exp_divided_difference_closed_forms(rows):
+    x = np.array(rows)
+    got = _exp_divided_difference(x)
+    want = []
+    for r in x:
+        nodes = [a for a in r if a != 0.0]
+        zeros = len(r) - len(nodes)
+        # distinct nonzero nodes: sum_i exp[x_i, 0, ..., 0] / prod_{j != i} (x_i - x_j)
+        want.append(math.fsum(_g(a, zeros) / math.prod(a - b for b in nodes if b != a)
+                              for a in nodes))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_exp_divided_difference_confluent():
+    # all nodes equal: exp[x, ..., x] (m + 1 of them) = e^x / m!
+    rows = [[-0.3] * 5, [-12.0] * 5, [-250.0] * 3]
+    got = [_exp_divided_difference(np.array([r]))[0] for r in rows]
+    want = [math.exp(r[0]) / math.factorial(len(r) - 1) for r in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
