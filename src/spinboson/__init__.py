@@ -9,7 +9,6 @@ from .combinatorics import (
     count_compatible_pairs,
     enumerate_forest_selections,
     enumerate_matchings,
-    interpolated_coupling,
     open_cycles,
     partition_join,
     verify_bkar_identity,
@@ -49,7 +48,7 @@ __all__ = [
     "estimate_Z", "moment_closed_form", "estimate_moment_mc",
     "base_matching", "enumerate_matchings", "partition_join",
     "contracted_multigraph", "enumerate_forest_selections",
-    "interpolated_coupling", "open_cycles", "count_compatible_pairs",
+    "open_cycles", "count_compatible_pairs",
     "verify_bkar_identity",
     "CoefficientEstimate", "cluster_terms", "term_integrand",
     "integrate_term", "coefficient", "brute_force_coefficient",

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,18 +69,6 @@ def _jsonable(x):
 
 def _emit(doc) -> None:
     print(json.dumps(_jsonable(doc), sort_keys=True, indent=2))
-
-
-def _coeff_doc(est: integrator.CoefficientEstimate) -> dict:
-    return {
-        "value": est.value,
-        "statistical_error": est.statistical_error,
-        "quadrature_tolerance": est.quadrature_tolerance,
-        "method": est.method,
-        "p": est.p,
-        "finite_T": est.finite_T,
-        "warning": est.warning,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +122,7 @@ def _cmd_coefficient(args):
             ker, args.p, args.finite_T, budget=args.budget or 1_000_000,
             seed=args.seed, workers=args.workers,
         )
-        return _coeff_doc(est), 0
+        return asdict(est), 0
     total, per_term = integrator.coefficient(
         ker, args.p, mode=mode, horizon=args.finite_T, method=args.method,
         budget=args.budget, seed=args.seed or 0, p_max=args.p_max,
@@ -152,9 +141,9 @@ def _cmd_coefficient(args):
             )
         sys.stdout.write(buf.getvalue())
         return None, 0
-    doc = _coeff_doc(total)
+    doc = asdict(total)
     if args.per_term:
-        doc["terms"] = [_coeff_doc(e) for e in per_term]
+        doc["terms"] = [asdict(e) for e in per_term]
     return doc, 0
 
 
@@ -176,7 +165,7 @@ def _cmd_energy(args):
         "gamma": res.gamma,
         "delta": res.delta,
         "certified": res.certified,
-        "coefficients": [_coeff_doc(c) for c in res.coefficients],
+        "coefficients": [asdict(c) for c in res.coefficients],
         "warning": res.warning,
     }, 0
 

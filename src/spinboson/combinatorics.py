@@ -52,7 +52,6 @@ __all__ = [
     "ForestSelection",
     "enumerate_forest_selections",
     "classify_pairs",
-    "interpolated_coupling",
     "OpenedStructure",
     "open_cycles",
     "spanning_trees",
@@ -299,25 +298,6 @@ def classify_pairs(selection: ForestSelection):
     return out
 
 
-def interpolated_coupling(selection: ForestSelection, v, pair) -> float:
-    """The coupling r(F, v) for a base-pair pair not in the selection."""
-    i, j = _norm_edge(*pair)
-    vs = np.asarray(v, dtype=float)
-    if vs.shape != (len(selection.micro_edges),):
-        raise ValueError("v must assign one value per selected edge")
-    if np.any((vs < 0) | (vs > 1)):
-        raise ValueError("interpolation parameters must lie in [0, 1]")
-    if (i, j) in selection.micro_edges:
-        raise ValueError("selected edges carry the derivative factor, not a coupling")
-    x, y = selection.blocks.block_of[i], selection.blocks.block_of[j]
-    if x == y:
-        return 1.0
-    path = selection.hat_path(x, y)
-    if path is None:
-        return 0.0
-    return float(min(vs[e] for e in path))
-
-
 @dataclass(frozen=True)
 class OpenedStructure:
     """Cycle opening of (P, F): the spanning tree walked by the integrator."""
@@ -393,15 +373,9 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
 
 
 def spanning_trees(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labeled trees on p vertices, as sorted edge tuples."""
-    edges = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    if p == 1:
-        yield ()
-        return
-    for combo in itertools.combinations(edges, p - 1):
-        uf = _UnionFind(p)
-        if all(uf.union(i, j) for i, j in combo):
-            yield combo
+    """All labeled trees on p vertices, as sorted edge tuples: the enumerator
+    that the connecting forest selections run on."""
+    return _forests_on_blocks(p, spanning=True)
 
 
 def degree_census(p: int) -> dict[tuple[int, ...], int]:

@@ -23,10 +23,13 @@ momentum on the form-factor modes) and uniformly over the feasible overlap
 window along selected edges, with exact importance weights; the deleted
 cycle-closing kernel factors and the interpolated hardcore factors are
 evaluated at the sampled configuration.  The (-1)^|F| sign is carried
-symbolically so weights stay positive within a term.  The v-integral is
-exact: given the sampled configuration it depends only on which path-linked
-pairs overlap, so each term looks it up in a table over those overlap
-patterns, filled from combinatorics.forest_volume on first use.
+symbolically so weights stay positive within a term.
+
+Both routes, and term_integrand, read the overlap factors of a term from
+ClusterTerm.weight: 0 unless every selected pair overlaps and no same-block
+pair does, else the exact v-integral.  That depends only on which
+path-linked pairs overlap, so each term looks it up in a table over those
+overlap patterns, filled from combinatorics.forest_volume on first use.
 
 The quadrature route (p <= 2) is exact in the times and independent of
 the sampler.  At p = 1 it is the graded Gauss-Legendre rule of
@@ -101,8 +104,6 @@ class ClusterTerm:
         self.q = len(selection.micro_edges)
         self.sign = (-1.0) ** self.q
         self.pin_pair = pin_pair
-        self._opened = None
-        self._volumes = None
 
     # the pair classes are worked out on first use: enumerating terms stays cheap
     @cached_property
@@ -121,30 +122,37 @@ class ClusterTerm:
     def path_pairs(self):
         return [(e, c[1]) for e, c in self._classes if c[0] == "path"]
 
-    @property
+    @cached_property
     def opened(self):
-        if self._opened is None:
-            self._opened = open_cycles(self.matching, self.selection, root_pair=self.pin_pair)
-        return self._opened
+        return open_cycles(self.matching, self.selection, root_pair=self.pin_pair)
 
-    @property
+    @cached_property
     def volumes(self) -> np.ndarray:
         """Exact v-integral per overlap pattern: bit k of the index is set when
         path pair k overlaps."""
-        if self._volumes is None:
-            codes = np.arange(1 << len(self.path_pairs))
-            ov = np.zeros((len(codes), self.p, self.p), dtype=bool)
-            for k, ((i, j), _) in enumerate(self.path_pairs):
-                ov[:, i, j] = ov[:, j, i] = (codes >> k) & 1
-            self._volumes = forest_volume(self.selection, ov)
-        return self._volumes
-
-    def volume(self, ov) -> np.ndarray:
-        """Exact v-integral for overlap matrices ov of shape (..., p, p)."""
-        code = np.zeros(ov.shape[:-2], dtype=np.intp)
+        codes = np.arange(1 << len(self.path_pairs))
+        ov = np.zeros((len(codes), self.p, self.p), dtype=bool)
         for k, ((i, j), _) in enumerate(self.path_pairs):
-            code |= ov[..., i, j].astype(np.intp) << k
-        return self.volumes[code]
+            ov[:, i, j] = ov[:, j, i] = (codes >> k) & 1
+        return forest_volume(self.selection, ov)
+
+    def weight(self, starts, ends) -> np.ndarray:
+        """Interval weight of the term, for closed intervals [starts, ends] of
+        shape (..., p): 0 unless every forest pair overlaps and no block pair
+        does, else the exact v-integral of the path-pair overlap pattern."""
+
+        def overlap(i, j):
+            return (starts[..., i] <= ends[..., j]) & (starts[..., j] <= ends[..., i])
+
+        allowed = np.ones(starts.shape[:-1], dtype=bool)
+        for i, j in self.forest_pairs:
+            allowed &= overlap(i, j)
+        for i, j in self.block_pairs:
+            allowed &= ~overlap(i, j)
+        code = np.zeros(allowed.shape, dtype=np.intp)
+        for k, ((i, j), _) in enumerate(self.path_pairs):
+            code |= overlap(i, j).astype(np.intp) << k
+        return np.where(allowed, self.volumes[code], 0.0)
 
 
 def cluster_terms(p: int, p_max: Optional[int] = None, pin_pair: int = 0) -> list[ClusterTerm]:
@@ -157,22 +165,9 @@ def cluster_terms(p: int, p_max: Optional[int] = None, pin_pair: int = 0) -> lis
     return out
 
 
-def _overlap_matrix(starts, ends):
-    """Closed-interval overlap booleans, shape (..., p, p)."""
-    s1 = starts[..., :, None]
-    e1 = ends[..., :, None]
-    s2 = starts[..., None, :]
-    e2 = ends[..., None, :]
-    return (s1 <= e2) & (s2 <= e1)
-
-
-def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
-    """Evaluate the signed integrand at times t (..., 2p).
-
-    With v=None the interpolated hardcore factor is integrated exactly over
-    v; otherwise v (..., |F|) gives one interpolation parameter per selected
-    edge and the v-resolved integrand is returned.
-    """
+def term_integrand(kernel: Kernel, term: ClusterTerm, t):
+    """Evaluate the signed integrand at times t (..., 2p), with the
+    interpolated hardcore factor integrated exactly over v."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 1
     if scalar:
@@ -184,21 +179,7 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
     value = np.where(ordered, np.exp(-2.0 * gaps.sum(axis=-1)), 0.0)
     for a, b in term.matching:
         value = value * kernel.h(t[..., a] - t[..., b])
-    ov = _overlap_matrix(starts, ends)
-    for i, j in term.forest_pairs:
-        value = value * ov[..., i, j]
-    value = value * term.sign
-    for i, j in term.block_pairs:
-        value = np.where(ov[..., i, j], 0.0, value)
-    if v is None:
-        value = value * term.volume(ov)
-    else:
-        v = np.asarray(v, dtype=float)
-        if scalar and v.ndim == 1:
-            v = v[None, :]
-        for (i, j), spec in term.path_pairs:
-            r = np.min(v[..., list(spec)], axis=-1)
-            value = value * np.where(ov[..., i, j], 1.0 - r, 1.0)
+    value = value * term.sign * term.weight(starts, ends)
     return float(value[0]) if scalar else value
 
 
@@ -244,13 +225,10 @@ def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optio
 def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[float]):
     lengths, s, weight = _sample_chunk(kernel, term, rng, n, horizon)
     ends = s + lengths
-    ov = _overlap_matrix(s, ends)
-    mask = np.ones(n, dtype=bool)
-    for i, j in term.block_pairs:
-        mask &= ~ov[:, i, j]
+    value = term.sign * weight * term.weight(s, ends)
     if horizon is not None:
-        mask &= np.all((s >= 0.0) & (ends <= horizon), axis=1)
-    return term.sign * weight * term.volume(ov) * mask
+        value *= np.all((s >= 0.0) & (ends <= horizon), axis=1)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +238,8 @@ def _mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optional[
 
 def _endpoint_orders(term: ClusterTerm):
     """(weight, 2 cover, span) per order of the 2p endpoints in which every
-    start comes before its end, every forest pair overlaps and no block pair
-    does; the weight is sign * volume(ov).  cover[j] counts the intervals
+    start comes before its end and term.weight is not 0; the weight is
+    sign * term.weight.  cover[j] counts the intervals
     over gap j between consecutive endpoints, and span[e, j] is 1 where
     matching edge e spans it."""
     p = term.p
@@ -273,15 +251,13 @@ def _endpoint_orders(term: ClusterTerm):
         starts, ends = rank[0::2], rank[1::2]
         if np.any(starts > ends):
             continue
-        ov = _overlap_matrix(starts, ends)
-        if not all(ov[i, j] for i, j in term.forest_pairs) or any(
-            ov[i, j] for i, j in term.block_pairs
-        ):
+        weight = float(term.weight(starts, ends))
+        if not weight:
             continue
         cover = ((starts[:, None] < gaps) & (gaps < ends[:, None])).sum(axis=0)
         lo, hi = np.sort(rank[edges], axis=1).T
         span = ((lo[:, None] < gaps) & (gaps < hi[:, None])).astype(float)
-        out.append((term.sign * float(term.volume(ov)), 2.0 * cover, span))
+        out.append((term.sign * weight, 2.0 * cover, span))
     return out
 
 

@@ -17,7 +17,6 @@ from spinboson.combinatorics import (
     enumerate_forest_selections,
     enumerate_matchings,
     forest_volume,
-    interpolated_coupling,
     matching_count,
     open_cycles,
     partition_join,
@@ -26,6 +25,8 @@ from spinboson.combinatorics import (
 )
 from spinboson.errors import ResourceError, StructureError
 from spinboson.rng import stream
+
+from oracles import interpolated_coupling
 
 CROSS_A = ((0, 2), (1, 3))  # both cross matchings of 4 points
 CROSS_B = ((0, 3), (1, 2))

@@ -13,10 +13,11 @@ from spinboson.integrator import (
     cluster_terms,
     coefficient,
     integrate_term,
-    term_integrand,
 )
 from spinboson.kernel import Kernel, KernelSpec, build_kernel
 from spinboson.rng import stream
+
+from oracles import interpolated_coupling, overlap_matrix, term_integrand
 
 CROSS_A = ((0, 2), (1, 3))
 
@@ -152,6 +153,16 @@ def test_pinning_point_independence_p2(indicator_kernel):
     assert a.value == pytest.approx(b.value, rel=3e-6)
 
 
+@pytest.mark.parametrize("horizon", [None, 5.0])
+def test_mc_c2_rooted_at_pair_1_matches_quadrature(indicator_kernel, horizon):
+    # the quadrature route ignores pin_pair; Monte Carlo roots its sampling tree there
+    mode = "pinned" if horizon is None else "finite"
+    quad = coefficient(indicator_kernel, 2, mode=mode, horizon=horizon, method="quad")
+    mc = coefficient(indicator_kernel, 2, mode=mode, horizon=horizon, method="mc",
+                     budget=200_000, seed=5, pin_pair=1)
+    assert abs(mc.value - quad.value) < 3 * mc.statistical_error
+
+
 def test_finite_c1_against_2d_quadrature(indicator_kernel):
     T = 3.0
     oracle, _ = integrate.dblquad(
@@ -224,7 +235,7 @@ def _proposal_density(kernel, term, lengths, starts):
 def test_mc_weights_reproduce_integrand(indicator_kernel):
     # per-sample identity: estimator value times proposal density equals the
     # exact integrand, so importance weights cannot be silently wrong
-    from spinboson.integrator import _overlap_matrix, _sample_chunk
+    from spinboson.integrator import _sample_chunk
 
     rng_master = stream(91, 0)
     terms = cluster_terms(2) + cluster_terms(3)[:8]
@@ -235,7 +246,7 @@ def test_mc_weights_reproduce_integrand(indicator_kernel):
             indicator_kernel, term, stream(92, idx), n, None
         )
         dens, t = _proposal_density(indicator_kernel, term, lengths, starts)
-        ov = _overlap_matrix(starts, starts + lengths)
+        ov = overlap_matrix(starts, starts + lengths)
         hard = np.ones(n)
         for i, j in term.block_pairs:
             hard *= ~ov[:, i, j]
@@ -250,7 +261,7 @@ def test_mc_weights_reproduce_integrand(indicator_kernel):
 
 
 def test_mc_weights_reproduce_integrand_finite(indicator_kernel):
-    from spinboson.integrator import _overlap_matrix, _sample_chunk
+    from spinboson.integrator import _sample_chunk
 
     T = 4.0
     term = cluster_terms(2)[1]  # crossing matching, hardcore pair
@@ -258,7 +269,7 @@ def test_mc_weights_reproduce_integrand_finite(indicator_kernel):
     lengths, starts, weight = _sample_chunk(indicator_kernel, term, stream(93, 0), n, T)
     dens, t = _proposal_density(indicator_kernel, term, lengths, starts)
     dens /= T  # uniform root position over [0, T]
-    ov = _overlap_matrix(starts, starts + lengths)
+    ov = overlap_matrix(starts, starts + lengths)
     hard = (~ov[:, 0, 1]).astype(float)
     box = np.all((starts >= 0) & (starts + lengths <= T), axis=1)
     lhs = term.sign * weight * hard * box * dens
@@ -295,8 +306,6 @@ def test_pipeline_on_tabulated_kernels(indicator_kernel):
 def _naive_integrand(kernel, term, t, v):
     """From-scratch integrand: queries the coupling op instead of the
     compiled pair classes."""
-    from spinboson.combinatorics import interpolated_coupling
-
     p = term.p
     starts, ends = t[0::2], t[1::2]
     if np.any(ends <= starts):
@@ -335,8 +344,6 @@ def test_term_integrand_against_naive_reimplementation(indicator_kernel):
 def test_exact_v_integrand_uses_forest_volume(indicator_kernel):
     # v = 0 switches every path coupling off, leaving the rest of the integrand;
     # the exact v-integral must then be that times forest_volume of the sample
-    from spinboson.integrator import _overlap_matrix
-
     rng = stream(96, 0)
     terms = [t for t in cluster_terms(4) if t.path_pairs]
     for term in terms[::7] + [t for t in terms if t.q == 3][:4]:
@@ -347,7 +354,7 @@ def test_exact_v_integrand_uses_forest_volume(indicator_kernel):
         t[:, 1::2] = starts + lengths
         got = term_integrand(indicator_kernel, term, t)
         rest = term_integrand(indicator_kernel, term, t, v=np.zeros((16, term.q)))
-        ov = _overlap_matrix(starts, starts + lengths)
+        ov = overlap_matrix(starts, starts + lengths)
         want = [r * forest_volume(term.selection, o) for r, o in zip(rest, ov)]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert term_integrand(indicator_kernel, term, t[3]) == got[3]
