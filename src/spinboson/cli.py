@@ -104,12 +104,7 @@ def _cmd_simulate(args):
     est = jump_process.estimate_Z(
         args.alpha, args.horizon, ker, args.samples, args.seed, workers=args.workers
     )
-    return {
-        "value": est.value,
-        "std_error": est.std_error,
-        "samples": est.samples,
-        "seed": est.seed,
-    }, 0
+    return asdict(est), 0
 
 
 def _cmd_coefficient(args):
@@ -153,21 +148,9 @@ def _cmd_energy(args):
         ker, alpha=args.alpha, lam=args.lam, p_max=args.pmax, method=args.method,
         budget=args.budget, seed=args.seed or 0, gamma=args.gamma, workers=args.workers,
     )
-    return {
-        "alpha": res.alpha,
-        "lambda": res.lam,
-        "energy": res.energy,
-        "statistical_error": res.statistical_error,
-        "quadrature_tolerance": res.quadrature_tolerance,
-        "tail_bound": res.tail_bound,
-        "radius_bound": res.radius_bound,
-        "K": res.K,
-        "gamma": res.gamma,
-        "delta": res.delta,
-        "certified": res.certified,
-        "coefficients": [asdict(c) for c in res.coefficients],
-        "warning": res.warning,
-    }, 0
+    doc = asdict(res)
+    doc["lambda"] = doc.pop("lam")
+    return doc, 0
 
 
 def _cmd_counts(args):

@@ -29,10 +29,12 @@ composition for the form-factor modes (draw the momentum k ~ w(k)/int w,
 then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for h tables.
 Kernels are immutable after build and safe to share across workers.
 
-On the form-factor modes `h` (every Monte Carlo layer calls it) evaluates h
-alone; `_parts` evaluates Psi, the mass beyond |s| and h together for `psi`,
-`quantile` and `phi_dense`; `phi` sums Ein forms; `momentum_rule` hands out
-the Gauss-Legendre rule for 4 pi k w(k) dk that order-2 quadrature uses.
+On the form-factor modes one evaluator, `_pieces`, sums the closed forms of
+Psi, the mass beyond |s| or h over the table pieces: `h` (every Monte Carlo
+layer calls it) and `psi` take one row each, `phi_dense` calls both, and
+`_parts` stacks the three rows for `quantile` and the inverse-CDF build; `phi`
+sums Ein forms; `momentum_rule` hands out the Gauss-Legendre rule for
+4 pi k w(k) dk that order-2 quadrature uses.
 Against scipy quad of the defining k-integral, at 0, 1e-300, on both sides
 of each piece's series seam and at 150 s from 1e-8 to 700/len, `h` is
 within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
@@ -55,15 +57,13 @@ __all__ = ["KernelSpec", "Kernel", "build_kernel"]
 _SMALL = 0.5  # below this argument the closed forms cancel; power series instead
 _N = np.arange(16)  # series powers: the first term dropped is below 1e-18 at 0.5
 _FACT = np.cumprod(np.maximum(_N, 1)).astype(float)
-# Series of G_j(y) = int_0^1 t^j e^{-yt} dt = sum_n (-y)^n / (n! (n+j+1)) (j <= 2),
-# F_j = 1/(j+1) - G_j (j <= 1), A(x) = int_0^x phi(y)/y dy and B(x) = int_0^x phi,
-# phi(y) = y - 1 + e^{-y}.
-_G = np.stack([(-1.0) ** _N / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
-_GF = np.column_stack([_G, (_N > 0)[:, None] * -_G[:, :2]])
+# Series of G_j(y) = int_0^1 t^j e^{-yt} dt = sum_n z^n / (n! (n+j+1)) in z = -y
+# (j <= 2), A(x) = int_0^x phi(y)/y dy and B(x) = int_0^x phi, phi(y) = y - 1 + e^{-y}.
+_G = np.stack([1.0 / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
 _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
 _TINY = 1e-300  # floor for logs and divisions
-_BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _parts and phi_dense
+_BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _pieces and phi_dense
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
@@ -74,21 +74,6 @@ def _series_below_small(out, x, coefs):
     small = x < _SMALL
     out[:, small] = np.einsum("nk,kj->jn", x[small][:, None] ** _N, coefs)
     return out
-
-
-def _moments(y):
-    """G_0, G_1, G_2, F_0, F_1 at y >= 0, stacked; above _SMALL by the upward
-    recursion G_j = (j G_{j-1} - e^{-y}) / y from G_0 = -expm1(-y) / y."""
-    out = np.empty((5,) + y.shape)
-    g0, g1, g2, f0, f1 = out
-    yl = np.maximum(y, _SMALL)
-    inv, e = 1.0 / yl, np.exp(-yl)
-    np.multiply(np.expm1(-yl), -inv, out=g0)
-    np.multiply(np.subtract(g0, e, out=g1), inv, out=g1)
-    np.multiply(np.subtract(2.0 * g1, e, out=g2), inv, out=g2)
-    np.subtract(1.0, g0, out=f0)
-    np.subtract(0.5, g1, out=f1)
-    return _series_below_small(out, y, _GF)
 
 
 @functools.cache
@@ -215,26 +200,26 @@ class Kernel:
             self._k, self._a, self._len = k, k[:-1], np.diff(k)
             wa, dw, c = w[:-1], np.diff(w), 4.0 * np.pi * self._len
             # k = a + len*t, w = wa + dw*t on a piece: at y = s*len its rows
-            # (Psi - (1 - e^{-sa}) mass, Psi(inf) - Psi, h) are e^{-sa} times
-            # (t0 F0 + t1 F1, t0 G0 + t1 G1, c0 G0 + c1 G1 + c2 G2); _weights
-            # holds them as [moment (G0, G1, G2, F0, F1), piece, row]
+            # (Psi, Psi(inf) - Psi, h) are e^{-sa} (C + W0 G0 + W1 G1 + W2 G2)
+            # plus (1 - e^{-sa}) C; _rows holds per row [-len, -a, C, W0, W1, W2]
+            # per piece, the coefficients d_n = sum_j W_j / (n! (n+j+1)) of its
+            # series in z = -|s| len, and which of C, W0 and W2 it uses
             t0, t1 = c * wa, c * dw
             c0, c1, c2 = c * self._a * wa, c * (self._a * dw + self._len * wa), c * self._len * dw
-            z = np.zeros_like(c)
-            self._weights = np.array([[z, t0, c0], [z, t1, c1], [z, z, c2],
-                                      [t0, z, z], [t1, z, z]]).transpose(0, 2, 1)
-            self._piece_mass = c * (wa + 0.5 * dw)
-            # h alone: per piece -len, -a, the G-row weights and the coefficients
-            # d_n = sum_j c_j / (n! (n+j+1)) of its series in z = -|s| len
-            self._h_rows = np.array([-self._len, -self._a, c0, c1, c2])
-            self._h_series = np.abs(_G) @ self._h_rows[2:]
-            self._h_c0, self._h_c2 = bool(c0.any()), bool(c2.any())
+            piece_mass, z = c * (wa + 0.5 * dw), np.zeros_like(c)
+            self._rows = []
+            for cst, *ws in ([piece_mass, -t0, -t1, z], [z, t0, t1, z], [z, c0, c1, c2]):
+                series = _G @ np.array(ws)
+                if cst.any():  # Psi: C + W0 + W1/2 = 0, so its series starts at n = 1
+                    series[0] = 0.0
+                self._rows.append((np.array([-self._len, -self._a, cst, *ws]), series,
+                                   bool(cst.any()), bool(ws[0].any()), bool(ws[2].any())))
             beta = dw / self._len  # Phi = sum of alpha dA + beta dB / s over the pieces
             self._alpha, self._beta = 4.0 * np.pi * (wa - beta * self._a), 4.0 * np.pi * beta
-            self._mass = float(self._piece_mass.sum())
+            self._mass = float(piece_mass.sum())
             # composition sampler: the cumulative piece masses, and per piece
             # (mass below it, 4 pi len, wa, dw, a, len)
-            cum = np.concatenate([[0.0], np.cumsum(self._piece_mass)])
+            cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
             self._momentum = cum[1:], np.column_stack([cum[:-1], c, wa, dw, self._a, self._len])
             if self._mass > 0.0:  # inverse-CDF nodes: 0, then 32 per octave from 2^-30
                 # Psi(inf)/h(0) to where the mass beyond x, < max(w)/(x int w), is < 2^-54
@@ -262,63 +247,57 @@ class Kernel:
 
     def _parts(self, x):
         """Psi, Psi(inf) - Psi and h at x >= 0 (1-d), stacked; the middle row
-        is computed directly and keeps its relative accuracy in the tail.  The
-        pieces are summed in passes so each temporary holds about _BLOCK
-        elements."""
+        is computed directly and keeps its relative accuracy in the tail."""
         if self._pp is not None:
             return np.stack([self._psi_pp(x), -self._tail_pp(x), np.maximum(self._pp(x), 0.0)])
-        xc, out = x[:, None], 0.0
-        step = max(1, _BLOCK // max(x.size, 1))  # pieces per pass: bounded temporaries
-        for p in range(0, len(self._a), step):
-            a = self._a[p:p + step]
-            shifted = a.any()  # pieces from k = 0 need no shift
-            mom = _moments(xc * self._len[p:p + step])
-            if shifted:
-                mom *= np.exp(-xc * a)
-            part = np.einsum("jnp,jpk->kn", mom, self._weights[:, p:p + step])
-            if shifted:
-                # einsum, not a BLAS matvec: each row then sums alike whatever n is
-                part[0] -= np.einsum("np,p->n", np.expm1(-xc * a), self._piece_mass[p:p + step])
-            out = part if p == 0 else np.add(out, part, out=out)
-        return out
+        return np.stack([self._pieces(x, row) for row in range(3)])
 
     def h(self, s):
         """Kernel value h(s); even in s, nonnegative; h(s)[i] is h(s[i]) bit
-        for bit.  Per piece e^{-|s|a} (c0 G0 + c1 G1 + c2 G2)(|s| len): the G
-        rows by upward recursion from |s| len = _SMALL on, below it the piece's
-        series in Estrin's scheme (4 levels, not Horner's 15 steps), summed over
-        the pieces in passes of about _BLOCK elements; h tables use the PCHIP."""
+        for bit.  The form-factor modes take row 2 of `_pieces`; h tables use
+        the PCHIP."""
         x = np.asarray(s, dtype=float)
         a = np.abs(x).ravel()
-        out = np.maximum(self._pp(a), 0.0) if self._pp is not None else self._h_pieces(a)
+        out = np.maximum(self._pp(a), 0.0) if self._pp is not None else self._pieces(a, 2)
         out = out.reshape(x.shape)
         return out if out.ndim else float(out)
 
-    def _h_pieces(self, x):
-        """h at x >= 0 (1-d) on the form-factor modes."""
+    def _pieces(self, x, row):
+        """Row `row` of (Psi, Psi(inf) - Psi, h) at x >= 0 (1-d) on the
+        form-factor modes, the one evaluator of their closed forms.  Per piece
+        e^{-xa} (C + W0 G0 + W1 G1 + W2 G2)(x len): the G rows by upward
+        recursion from x len = _SMALL on, below it the piece's series in
+        Estrin's scheme (4 levels, not Horner's 15 steps); then (1 - e^{-xa}) C,
+        and the sum over the pieces in passes of about _BLOCK elements."""
+        consts, series, use_c, use0, use2 = self._rows[row]
         xc, out = x[:, None], 0.0
         step = max(1, _BLOCK // max(x.size, 1))  # pieces per pass: bounded temporaries
         for p in range(0, len(self._a), step):
-            neg_len, neg_a, c0, c1, c2 = self._h_rows[:, p:p + step]
+            neg_len, neg_a, cst, w0, w1, w2 = consts[:, p:p + step]
             z = xc * neg_len
             zl = np.minimum(z, -_SMALL)
             e, g0 = np.exp(zl), np.expm1(zl) / zl
             g1 = (e - g0) / zl
-            val = c1 * g1
-            if self._h_c0:  # skip G rows no piece weighs
-                val += c0 * g0
-            if self._h_c2:
-                val += c2 * ((e - 2.0 * g1) / zl)
+            val = w1 * g1
+            if use0:  # skip the terms no piece of the row weighs
+                val += w0 * g0
+            if use2:
+                val += w2 * ((e - 2.0 * g1) / zl)
+            if use_c:
+                val += cst
             small = z > -_SMALL
             zp = z[small]
-            if zp.size:  # sum_n d_n z^n, d_n >= 0: Estrin halves the 16 terms 4 times
-                d = self._h_series[:, p:p + step]
+            if zp.size:  # sum_n d_n z^n: Estrin halves the 16 terms 4 times
+                d = series[:, p:p + step]
                 d = d[:, np.nonzero(small)[1]] if d.shape[1] > 1 else d
                 while len(d) > 1:
                     d, zp = d[0::2] + d[1::2] * zp, zp * zp
                 val[small] = d[0]
             if neg_a[-1] < 0.0:  # a increases; a piece from k = 0 needs no shift
-                val *= np.exp(xc * neg_a)
+                za = xc * neg_a
+                val *= np.exp(za)
+                if use_c:
+                    val -= np.expm1(za) * cst
             part = val.sum(axis=1) if val.shape[1] > 1 else val[:, 0]
             out = part if p == 0 else np.add(out, part, out=out)
         return out
@@ -347,7 +326,9 @@ class Kernel:
     def psi(self, s):
         """First antiderivative int_0^s h; odd in s."""
         x = np.asarray(s, dtype=float)
-        out = np.sign(x) * self._parts(np.abs(x).ravel())[0].reshape(x.shape)
+        a = np.abs(x).ravel()
+        out = self._psi_pp(a) if self._pp is not None else self._pieces(a, 0)
+        out = np.sign(x) * out.reshape(x.shape)
         return out if out.ndim else float(out)
 
     def phi(self, s):
@@ -383,16 +364,16 @@ class Kernel:
         end-corrected trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12
         of the exact Psi and h by a cumulative sum, and hands the next block
         its end, the same steps summed pairwise (an exact math.fsum was no
-        closer to phi() and doubled the time).  The exact Psi and h are taken
-        one table piece per pass, so the tracemalloc peak stays at 15-31 MiB
-        up to 64 pieces while the time grows with them (2-core x86: 0.04 s
-        for the indicator, 0.5 s for 8 pieces, 4.3-5.3 s for 64).  No phi()
-        call is made, so building the table loads no scipy.  The nodes are
-        within 6.8e-13 of phi() at span 64 on the cutoff-1 indicator kernel
-        (2.5e-11 at span 2048), and 1.0e-12 on a 4-piece radial table from
-        k = 0.25.  As Phi'' = h, linear interpolation is within
-        norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the indicator
-        kernel, four times that per doubling beyond.
+        closer to phi() and doubled the time).  The exact `psi` and `h` are
+        taken one table piece per pass, so the tracemalloc peak stays at
+        16-24 MiB up to 64 pieces while the time grows with them (2-core x86:
+        0.05-0.07 s for the indicator, 0.45-0.55 s for 8 pieces, 4.5-4.7 s for
+        64).  No phi() call is made, so building the table loads no scipy.
+        The nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
+        indicator kernel (2.5e-11 at span 2048), and 1.0e-12 on a 4-piece
+        radial table from k = 0.25.  As Phi'' = h, linear interpolation is
+        within norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the
+        indicator kernel, four times that per doubling beyond.
         """
         need = max(64.0, 2.0 ** np.ceil(np.log2(max(span, 1.0))))
         key = int(need)
@@ -403,7 +384,8 @@ class Kernel:
             tab[0] = 0.0
             for start in range(0, n - 1, block):
                 stop = min(start + block, n - 1)
-                psi, _, h = self._parts(np.arange(start, stop + 1) * dx)
+                xs = np.arange(start, stop + 1) * dx
+                psi, h = self.psi(xs), self.h(xs)
                 step = tab[start + 1:stop + 1]
                 np.add(psi[:-1], psi[1:], out=step)
                 step *= 0.5 * dx

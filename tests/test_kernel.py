@@ -320,14 +320,16 @@ def _phi_integrand(y):
 
 
 def _defining_integrals(points, s):
-    """h, Psi and Phi at s >= 0 by scipy quad of their k-integrals
-    4 pi int k w e^{-sk}, 4 pi int w (1 - e^{-sk}), 4 pi int (w/k)(sk - 1 + e^{-sk})."""
+    """h, Psi, Phi and the mass beyond s at s >= 0 by scipy quad of their
+    k-integrals 4 pi int k w e^{-sk}, 4 pi int w (1 - e^{-sk}),
+    4 pi int (w/k)(sk - 1 + e^{-sk}) and 4 pi int w e^{-sk}."""
     pts = np.asarray(points, dtype=float)
     k, w = pts[:, 0], pts[:, 1]
     integrands = (
         lambda q: q * np.interp(q, k, w) * math.exp(-s * q),
         lambda q: np.interp(q, k, w) * -math.expm1(-s * q),
         lambda q: np.interp(q, k, w) * _phi_integrand(s * q) / q,
+        lambda q: np.interp(q, k, w) * math.exp(-s * q),
     )
     # split at the table points and where e^{-sk} has decayed
     cuts = set(k.tolist())
@@ -363,15 +365,35 @@ def test_closed_forms_match_quad_of_defining_integrals(spec, points):
     (KernelSpec.radial_table(RISING_FALLING), RISING_FALLING),
 ], ids=["indicator", "four_pieces", "rising_falling"])
 def test_h_matches_quad_at_series_seams_and_extremes(spec, points):
-    # h switches from its series to the G-row recursion where |s| len = _SMALL
-    # on each piece: both sides of every seam, 0, 1e-300 and 700/len
+    # h, Psi and the mass beyond switch from their series to the G-row
+    # recursion where |s| len = _SMALL on each piece: both sides of every
+    # seam, 0, 1e-300 and 700/len
     ker = build_kernel(spec)
     lengths = np.diff(np.asarray(points)[:, 0])
     seams = _SMALL / lengths
     for s in [0.0, 1e-300, *seams * (1 - 2**-20), *seams * (1 + 2**-20), *700.0 / lengths]:
-        want = _defining_integrals(points, s)[0]
-        assert ker.h(s) == pytest.approx(want, rel=1e-12), s
+        h, psi, _, beyond = _defining_integrals(points, s)
+        assert ker.h(s) == pytest.approx(h, rel=1e-12), s
         assert ker.h(-s) == ker.h(s)
+        got_psi, got_beyond, _ = ker._parts(np.array([s]))[:, 0]
+        assert got_psi == pytest.approx(psi, rel=1e-12), s
+        assert got_beyond == pytest.approx(beyond, rel=1e-12), s
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.radial_table(RISING_FALLING),
+], ids=["indicator", "four_pieces", "rising_falling"])
+def test_parts_h_row_is_h(spec):
+    # one evaluator: the h row of _parts is h bit for bit, on both sides of
+    # every series seam and far out
+    ker = build_kernel(spec)
+    k = spec.points[:, 0] if spec.points is not None else np.array([0.0, spec.cutoff])
+    seams = _SMALL / np.diff(k)
+    xs = np.concatenate([[0.0, 1e-300], np.abs(stream(9, 1).laplace(size=2000)), seams,
+                         np.nextafter(seams, 0.0), np.nextafter(seams, np.inf), 700.0 / np.diff(k)])
+    assert np.array_equal(ker._parts(xs)[2], ker.h(xs))
 
 
 def test_indicator_is_the_one_piece_radial_table(indicator_kernel):
