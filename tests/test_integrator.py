@@ -147,6 +147,12 @@ def test_pinned_p2_quadrature_vs_mc_all_terms(indicator_kernel):
         assert abs(quad_est.value - mc_est.value) < tol
 
 
+def test_pinning_point_independence_p2(indicator_kernel):
+    a = coefficient(indicator_kernel, 2, method="quad", pin_pair=0)
+    b = coefficient(indicator_kernel, 2, method="quad", pin_pair=1)
+    assert a.value == pytest.approx(b.value, rel=3e-6)
+
+
 @pytest.mark.parametrize("horizon", [None, 5.0])
 def test_mc_c2_rooted_at_pair_1_matches_quadrature(indicator_kernel, horizon):
     # the quadrature route ignores pin_pair; Monte Carlo roots its sampling tree there
