@@ -5,8 +5,6 @@ cross-checks at every layer."""
 
 from .combinatorics import (
     base_matching,
-    contracted_multigraph,
-    count_compatible_pairs,
     enumerate_forest_selections,
     enumerate_matchings,
     open_cycles,
@@ -47,8 +45,7 @@ __all__ = [
     "SpinPath", "MCEstimate", "sample_path", "interaction_action",
     "estimate_Z", "moment_closed_form", "estimate_moment_mc",
     "base_matching", "enumerate_matchings", "partition_join",
-    "contracted_multigraph", "enumerate_forest_selections",
-    "open_cycles", "count_compatible_pairs",
+    "enumerate_forest_selections", "open_cycles",
     "verify_bkar_identity",
     "CoefficientEstimate", "cluster_terms", "term_integrand",
     "integrate_term", "coefficient", "brute_force_coefficient",

@@ -48,7 +48,6 @@ __all__ = [
     "matching_count",
     "BlockPartition",
     "partition_join",
-    "contracted_multigraph",
     "ForestSelection",
     "enumerate_forest_selections",
     "classify_pairs",
@@ -57,7 +56,6 @@ __all__ = [
     "spanning_trees",
     "degree_census",
     "compatible_pair_counts",
-    "count_compatible_pairs",
     "forest_volume",
     "verify_bkar_identity",
 ]
@@ -112,24 +110,6 @@ def enumerate_matchings(p: int, p_max: Optional[int] = None) -> Iterator[tuple]:
     yield from rec(tuple(range(2 * p)))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     """Cycle supports of the superposition, on points and on base pairs."""
@@ -147,40 +127,26 @@ def _validate_matching(matching) -> int:
 
 
 def partition_join(matching) -> BlockPartition:
-    """Connected components of the superposition of P with the base matching."""
+    """Connected components of the superposition of P with the base matching.
+
+    Each component is one cycle, walked from its lowest base pair: from a
+    point x to its base partner x ^ 1, then to that point's partner in P."""
     p = _validate_matching(matching)
-    uf = _UnionFind(2 * p)
-    for i in range(p):
-        uf.union(2 * i, 2 * i + 1)
+    partner = {}
     for a, b in matching:
-        uf.union(a, b)
-    roots: dict[int, list[int]] = {}
-    for x in range(2 * p):
-        roots.setdefault(uf.find(x), []).append(x)
-    point_blocks = sorted(roots.values(), key=min)
-    block_of = [0] * p
+        partner[a], partner[b] = b, a
+    block_of: list = [None] * p
     pair_blocks = []
-    for bi, pts in enumerate(point_blocks):
-        pairs = sorted({x // 2 for x in pts})
-        pair_blocks.append(tuple(pairs))
-        for i in pairs:
-            block_of[i] = bi
-    return BlockPartition(
-        tuple(frozenset(b) for b in point_blocks), tuple(pair_blocks), tuple(block_of)
-    )
-
-
-def contracted_multigraph(matching) -> dict[tuple[int, int], int]:
-    """Cross edges of P between base pairs, with multiplicity (at most 2)."""
-    _validate_matching(matching)
-    mult: dict[tuple[int, int], int] = {}
-    for a, b in matching:
-        i, j = a // 2, b // 2
-        if i != j:
-            e = _norm_edge(i, j)
-            mult[e] = mult.get(e, 0) + 1
-            assert mult[e] <= 2
-    return mult
+    for i in range(p):
+        if block_of[i] is None:
+            cycle, x = [], 2 * i
+            while block_of[x // 2] is None:
+                block_of[x // 2] = len(pair_blocks)
+                cycle.append(x // 2)
+                x = partner[x ^ 1]
+            pair_blocks.append(tuple(sorted(cycle)))
+    point_blocks = (frozenset(x for i in b for x in (2 * i, 2 * i + 1)) for b in pair_blocks)
+    return BlockPartition(tuple(point_blocks), tuple(pair_blocks), tuple(block_of))
 
 
 @dataclass(frozen=True)
@@ -227,7 +193,7 @@ def _forests_on_blocks(k: int, spanning: bool) -> Iterator[tuple[tuple[int, int]
     """Acyclic edge subsets of the complete graph on k blocks (trees if spanning)."""
     edges = [(x, y) for x in range(k) for y in range(x + 1, k)]
 
-    def rec(idx, chosen, uf):
+    def rec(idx, chosen, comp):  # comp: component label of each block
         if idx == len(edges):
             if not spanning or len(chosen) == k - 1:
                 yield tuple(chosen)
@@ -235,16 +201,15 @@ def _forests_on_blocks(k: int, spanning: bool) -> Iterator[tuple[tuple[int, int]
         # prune: not enough edges left to finish a spanning tree
         if spanning and len(chosen) + (len(edges) - idx) < k - 1:
             return
-        yield from rec(idx + 1, chosen, uf)
+        yield from rec(idx + 1, chosen, comp)
         x, y = edges[idx]
-        uf2 = _UnionFind(k)
-        uf2.parent = list(uf.parent)
-        if uf2.union(x, y):
+        cx, cy = comp[x], comp[y]
+        if cx != cy:
             chosen.append(edges[idx])
-            yield from rec(idx + 1, chosen, uf2)
+            yield from rec(idx + 1, chosen, tuple(cx if c == cy else c for c in comp))
             chosen.pop()
 
-    yield from rec(0, [], _UnionFind(k))
+    yield from rec(0, [], tuple(range(k)))
 
 
 def enumerate_forest_selections(
@@ -302,9 +267,7 @@ def classify_pairs(selection: ForestSelection):
 class OpenedStructure:
     """Cycle opening of (P, F): the spanning tree walked by the integrator."""
 
-    opened_matching: tuple[tuple[int, int], ...]  # P-edges kept
     deleted_edges: tuple[tuple[int, int], ...]  # one P-edge per cycle
-    tree_edges: tuple[tuple, ...]  # (i, j, kind, micro) with kind 'h'|'overlap'
     steps: tuple[tuple, ...]  # (child, parent, kind, child_point, parent_point)
     offspring: tuple[int, ...]  # number of overlap-edge children per base pair
 
@@ -312,7 +275,8 @@ class OpenedStructure:
 def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> OpenedStructure:
     """Delete one P-edge per superposition cycle (the one with the smallest
     endpoint) and assemble the spanning tree from the opened contracted edges
-    plus the selected forest, rooted at root_pair."""
+    plus the selected forest, rooted at root_pair.  Breadth-first from the
+    root, the p - 1 edges must reach all p base pairs: then they are a tree."""
     p = _validate_matching(matching)
     blocks = selection.blocks
     deleted = []
@@ -331,12 +295,6 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
     for (i, j) in selection.micro_edges:
         tree.append((i, j, "overlap", None))
 
-    uf = _UnionFind(p)
-    edge_set = set()
-    for i, j, _, _ in tree:
-        if (i, j) in edge_set or not uf.union(i, j):
-            raise StructureError("opened edges plus selection do not form a tree")
-        edge_set.add((i, j))
     if len(tree) != p - 1:
         raise StructureError("selection is not connecting: no spanning tree")
 
@@ -367,9 +325,10 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
             else:
                 steps.append((nbr, cur, "overlap", None, None))
                 offspring[cur] += 1
-    assert len(order) == p
+    if len(order) != p:
+        raise StructureError("opened edges plus selection do not form a tree")
 
-    return OpenedStructure(opened, tuple(deleted), tuple(tree), tuple(steps), tuple(offspring))
+    return OpenedStructure(tuple(deleted), tuple(steps), tuple(offspring))
 
 
 def spanning_trees(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -412,15 +371,6 @@ def compatible_pair_counts(p: int, p_max: Optional[int] = None) -> dict[tuple, i
             for tree in {tuple(sorted(s | micro)) for s in openings if not s & micro}:
                 counts[tree] = counts.get(tree, 0) + 1
     return counts
-
-
-def count_compatible_pairs(tree_edges, p: int, p_max: Optional[int] = None) -> int:
-    """Count (P, selection) pairs from which some cycle opening yields this tree."""
-    check_order(p, p_max)
-    tree = {_norm_edge(i, j) for i, j in tree_edges}
-    if len(tree) != p - 1:
-        raise ValueError("tree_edges must form a spanning tree on the base pairs")
-    return compatible_pair_counts(p, p_max).get(tuple(sorted(tree)), 0)
 
 
 def forest_volume(selection: ForestSelection, overlap):

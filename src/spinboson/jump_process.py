@@ -84,10 +84,6 @@ class SpinPath:
             raise ValueError("jump times must be strictly increasing inside (0, horizon)")
         object.__setattr__(self, "jump_times", jt)
 
-    def sign_at(self, t: float) -> int:
-        flips = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.initial_sign * (-1) ** flips
-
 
 @dataclass(frozen=True)
 class MCEstimate:

@@ -19,14 +19,10 @@ Three ways to specify it:
 
 Besides pointwise evaluation, a built kernel carries the L-inf and L1 norms,
 the antiderivatives Psi(s) = int_0^s h (odd) and Phi with Phi'' = h (even,
-Phi(0) = Phi'(0) = 0), the rectangle mass
-
-    int_a^b dt int_c^d ds h(t - s)
-        = Phi(b - c) - Phi(a - c) - Phi(b - d) + Phi(a - d),
-
-and two exact samplers for displacements with density h(|s|)/||h||_1: by
-composition for the form-factor modes (draw the momentum k ~ w(k)/int w,
-then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for h tables.
+Phi(0) = Phi'(0) = 0), and two exact samplers for displacements with density
+h(|s|)/||h||_1: by composition for the form-factor modes (draw the momentum
+k ~ w(k)/int w, then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for
+h tables.
 Kernels are immutable after build and safe to share across workers.
 
 On the form-factor modes one evaluator, `_pieces`, sums the closed forms of
@@ -349,12 +345,6 @@ class Kernel:
             out = da @ self._alpha + db @ self._beta / np.where(a > 0.0, a, 1.0)
         out = out.reshape(x.shape)
         return out if out.ndim else float(out)
-
-    def rectangle_mass(self, a, b, c, d) -> float:
-        """Mass int_a^b dt int_c^d ds h(t-s) of one rectangle, via Phi."""
-        if b < a or d < c:
-            raise ValueError("rectangle bounds must satisfy a <= b and c <= d")
-        return float(self.phi(b - c) - self.phi(a - c) - self.phi(b - d) + self.phi(a - d))
 
     def phi_dense(self, span: float) -> tuple[np.ndarray, float]:
         """Uniform Phi table covering [0, span] for fast linear interpolation.

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from spinboson.combinatorics import (
+    ForestSelection,
     base_matching,
     classify_pairs,
     compatible_pair_counts,
-    contracted_multigraph,
-    count_compatible_pairs,
     degree_census,
     enumerate_forest_selections,
     enumerate_matchings,
@@ -28,8 +27,7 @@ from spinboson.rng import stream
 
 from oracles import interpolated_coupling
 
-CROSS_A = ((0, 2), (1, 3))  # both cross matchings of 4 points
-CROSS_B = ((0, 3), (1, 2))
+CROSS_A = ((0, 2), (1, 3))  # a cross matching of 4 points
 
 
 def test_matching_counts():
@@ -71,14 +69,6 @@ def test_cycle_supports_are_even():
         for m in enumerate_matchings(p):
             blocks = partition_join(m)
             assert all(len(b) % 2 == 0 for b in blocks.point_blocks)
-
-
-def test_contracted_multigraph_cases():
-    assert contracted_multigraph(base_matching(2)) == {}
-    assert contracted_multigraph(CROSS_A) == {(0, 1): 2}
-    assert contracted_multigraph(CROSS_B) == {(0, 1): 2}
-    total = sum(contracted_multigraph(((0, 2), (1, 4), (3, 5))).values())
-    assert total == 3  # no edge internal to a base pair
 
 
 def test_forest_selections_p1():
@@ -191,18 +181,16 @@ def test_open_cycles_p1():
     m = base_matching(1)
     sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
     opened = open_cycles(m, sel)
-    assert opened.tree_edges == ()
+    assert opened.steps == ()
     assert opened.offspring == (0,)
-    assert opened.opened_matching == ()
 
 
 def test_open_cycles_p2_base():
     m = base_matching(2)
     sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
     opened = open_cycles(m, sel)
-    assert opened.tree_edges == ((0, 1, "overlap", None),)
+    assert opened.steps == ((1, 0, "overlap", None, None),)
     assert opened.offspring == (1, 0)
-    assert opened.opened_matching == ()
     assert set(opened.deleted_edges) == set(m)
 
 
@@ -214,10 +202,10 @@ def test_open_cycles_counts_random(random_matching):
         blocks = partition_join(m)
         sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
         opened = open_cycles(m, sel)
-        assert len(opened.opened_matching) == p - len(blocks.point_blocks)
+        assert len(opened.deleted_edges) == len(blocks.point_blocks)
         assert sum(opened.offspring) == len(sel.micro_edges)
         assert len(sel.micro_edges) <= p - 1
-        assert len(opened.tree_edges) == p - 1
+        assert len(opened.steps) == p - 1
 
 
 def test_open_cycles_rejects_non_connecting():
@@ -225,6 +213,17 @@ def test_open_cycles_rejects_non_connecting():
     empty = [s for s in enumerate_forest_selections(m) if not s.micro_edges][0]
     with pytest.raises(StructureError):
         open_cycles(m, empty)
+
+
+def test_open_cycles_rejects_micro_edge_inside_a_block():
+    # pairs 0 and 1 share one cycle, whose opening keeps the P-edge (1, 3)
+    # between them; a micro edge (0, 1) doubles it and pair 2 stays unreached
+    m = ((0, 2), (1, 3), (4, 5))
+    blocks = partition_join(m)
+    assert blocks.pair_blocks == ((0, 1), (2,))
+    sel = ForestSelection(((0, 1),), ((0, 0),), blocks)
+    with pytest.raises(StructureError):
+        open_cycles(m, sel)
 
 
 def test_spanning_tree_counts_match_cayley():
@@ -245,12 +244,13 @@ def test_degree_census_matches_cayley_formula():
 
 
 def test_count_compatible_pairs_small():
-    assert count_compatible_pairs((), 1) == 1
-    n2 = count_compatible_pairs(((0, 1),), 2)
+    assert compatible_pair_counts(1).get((), 0) == 1
+    n2 = compatible_pair_counts(2).get(((0, 1),), 0)
     assert n2 == 3  # (base, edge), (cross, empty) x 2 -- by hand
     assert n2 < 4**2
+    counts3 = compatible_pair_counts(3)
     for tree in spanning_trees(3):
-        assert count_compatible_pairs(tree, 3) < 4**3
+        assert counts3.get(tree, 0) < 4**3
 
 
 def _count_compatible_pairs_per_tree(tree, p):

@@ -55,13 +55,6 @@ def test_spin_path_validation():
         SpinPath(1, np.array([6.0]), 5.0)
 
 
-def test_sign_at_flips():
-    p = SpinPath(1, np.array([1.0, 2.5]), 4.0)
-    assert p.sign_at(0.5) == 1
-    assert p.sign_at(1.5) == -1
-    assert p.sign_at(3.0) == 1
-
-
 def _action_by_quadrature(path, kernel):
     """Sum over segment pairs of the signed mass int_a^b dt int_c^d ds h(t - s),
     each a 1-d quad of h(u) L(u), L(u) the length of [a, b] and [c + u, d + u]
@@ -85,7 +78,7 @@ def _action_by_quadrature(path, kernel):
 def test_action_constant_path_is_rectangle_mass(indicator_kernel):
     p = SpinPath(1, np.array([]), 3.0)
     got = interaction_action(p, indicator_kernel)
-    assert got == pytest.approx(indicator_kernel.rectangle_mass(0, 3, 0, 3), rel=1e-10)
+    assert got == pytest.approx(_action_by_quadrature(p, indicator_kernel), rel=1e-10)
     assert got > 0
 
 

@@ -71,7 +71,7 @@ def test_zero_table_kernel_has_zero_norms(zero_kernel):
     for ker in (zero_kernel, zero_radial):
         assert ker.norm_inf == 0.0
         assert ker.norm_l1 == 0.0
-        assert ker.rectangle_mass(0, 1, 0, 1) == 0.0
+        assert ker.phi(1.0) == 0.0
     with pytest.raises(SamplingError):
         zero_radial.quantile(0.5)
 
@@ -92,44 +92,12 @@ def test_invalid_specs_rejected():
 
 
 def test_rectangle_mass_against_2d_quadrature(indicator_kernel):
-    # oracle: direct 2-D adaptive quadrature of int_0^1 int_0^1 h(t-s)
+    # oracle: direct 2-D adaptive quadrature of int_0^1 int_0^1 h(t-s), which is
+    # Phi(1) - Phi(0) - Phi(0) + Phi(-1) = 2 Phi(1) as Phi is even with Phi(0) = 0
     oracle, err = integrate.dblquad(
         lambda s, t: indicator_kernel.h(t - s), 0.0, 1.0, 0.0, 1.0, epsabs=1e-11
     )
-    got = indicator_kernel.rectangle_mass(0.0, 1.0, 0.0, 1.0)
-    assert got == pytest.approx(oracle, rel=1e-8)
-
-
-def test_rectangle_mass_degenerate_and_symmetry(indicator_kernel):
-    assert indicator_kernel.rectangle_mass(0.5, 0.5, 0.0, 2.0) == 0.0
-    a = indicator_kernel.rectangle_mass(0.0, 1.0, 2.0, 3.5)
-    b = indicator_kernel.rectangle_mass(2.0, 3.5, 0.0, 1.0)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_rectangle_mass_rejects_reversed_bounds(indicator_kernel):
-    with pytest.raises(ValueError):
-        indicator_kernel.rectangle_mass(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        indicator_kernel.rectangle_mass(0.0, 1.0, 2.0, 1.0)
-
-
-def test_rectangle_mass_additivity_on_random_splits(indicator_kernel):
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a, c = rng.uniform(-3, 3, size=2)
-        b = a + rng.uniform(0.1, 4.0)
-        d = c + rng.uniform(0.1, 4.0)
-        whole = indicator_kernel.rectangle_mass(a, b, c, d)
-        m = a + rng.uniform(0.05, 0.95) * (b - a)
-        n = c + rng.uniform(0.05, 0.95) * (d - c)
-        parts = (
-            indicator_kernel.rectangle_mass(a, m, c, n)
-            + indicator_kernel.rectangle_mass(m, b, c, n)
-            + indicator_kernel.rectangle_mass(a, m, n, d)
-            + indicator_kernel.rectangle_mass(m, b, n, d)
-        )
-        assert parts == pytest.approx(whole, rel=1e-8, abs=1e-12)
+    assert 2 * indicator_kernel.phi(1.0) == pytest.approx(oracle, rel=1e-8)
 
 
 def test_quantile_inverts_cdf_to_1e10(indicator_kernel):
