@@ -22,7 +22,8 @@ segment boundaries,
 with sigma the segment signs (0 outside [0,T]); this is exact per path, so
 the only Monte Carlo noise is over paths.  As Phi is even with Phi(0) = 0,
 the estimators sum -2 w_k w_l Phi(x_l - x_k) over each path's own k < l
-boundary pairs, M(M-1)/2 of them for M boundaries, in blocks of bounded
+boundary pairs, M(M-1)/2 of them for M boundaries: grouped by M, which fixes
+the pairs and weights, and added sequentially per path in blocks of bounded
 size, so no path is padded to the longest one in its call.  Estimators
 run on rng.mc_mean: each fixed group of batches draws from its own
 counter-keyed stream and batches reduce in fixed order, which makes them
@@ -136,46 +137,42 @@ def _jump_matrix(rng, n, horizon):
     into one call stay independent.
     """
     block = max(8, int(horizon + 10.0 * math.sqrt(horizon) + 20.0))
-    times = np.cumsum(rng.exponential(size=(n, block)), axis=1)
+    times = np.cumsum(e := rng.exponential(size=(n, block)), axis=1, out=e)
     while float(times[:, -1].min()) < horizon:
-        more = np.cumsum(rng.exponential(size=(n, block)), axis=1)
+        more = np.cumsum(e := rng.exponential(size=(n, block)), axis=1, out=e)
         times = np.concatenate([times, times[:, -1:] + more], axis=1)
     return times
 
 
-def _action_chunk(signs, times, horizon, phi_tab, dx):
+def _action_chunk(times, horizon, phi_tab, dx):
     """Action of each path, -2 sum_{k<l} w_k w_l Phi(x_l - x_k) over its own
     boundary pairs, with Phi linearly interpolated in phi_tab.
 
-    Pairs are ordered by l, so a path with M boundaries takes the first
-    M(M-1)/2 entries of one (k, l) table.  Whole paths are summed in blocks
-    of about _PAIR_BLOCK pairs (one path when it alone has more), each path
-    sequentially by np.bincount, so a path's action does not depend on the
-    other paths in the call and memory is O(n m + _PAIR_BLOCK), not O(n m^2).
+    Paths with M boundaries share the first M(M-1)/2 pairs of one l-major
+    (k, l) table and the weights w_k w_l (even in the sign), so each such
+    group is summed in blocks of about _PAIR_BLOCK pairs (one path when it
+    alone has more), each path in pair order by np.cumsum (np.sum adds
+    pairwise): a path's action does not depend on the other paths in the
+    call, and memory is O(n m + _PAIR_BLOCK), not O(n m^2).
     """
     counts = (times < horizon).sum(axis=1)
-    n, width = times.shape[0], int(counts.max()) + 2
-    x = np.empty((n, width))
-    x[:, 0] = 0.0
-    x[:, 1:] = np.where(np.arange(1, width) <= counts[:, None], times[:, : width - 1], horizon)
-    x, w = x.ravel(), _boundary_weights(signs, counts, width).ravel()
-    l_idx, k_idx = np.tril_indices(width, -1)  # (1, 0), (2, 0), (2, 1), (3, 0), ...
-    pairs = (counts + 2) * (counts + 1) // 2
-    ends = np.cumsum(pairs)
-    out = np.zeros(n)
-    lo = 0
-    while lo < n:
-        start = ends[lo] - pairs[lo]
-        hi = max(int(np.searchsorted(ends, start + _PAIR_BLOCK, side="right")), lo + 1)
-        ids = np.repeat(np.arange(lo, hi), pairs[lo:hi])
-        j = np.arange(ids.size) - np.repeat(ends[lo:hi] - pairs[lo:hi] - start, pairs[lo:hi])
-        kk, ll = ids * width + k_idx[j], ids * width + l_idx[j]
-        pos = (x[ll] - x[kk]) / dx
-        i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
-        frac = pos - i0
-        phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
-        out[lo:hi] = np.bincount(ids - lo, weights=w[kk] * w[ll] * phi, minlength=hi - lo)
-        lo = hi
+    order = np.argsort(counts, kind="stable")
+    ms, starts = np.unique(counts[order], return_index=True)
+    weights = _boundary_weights(np.ones(len(ms)), ms, int(ms[-1]) + 2)
+    l_idx, k_idx = np.tril_indices(int(ms[-1]) + 2, -1)  # (1, 0), (2, 0), (2, 1), ...
+    out = np.empty(len(counts))
+    for m, a, group in zip(ms.tolist(), weights, np.split(order, starts[1:])):
+        k, l = k_idx[: (m + 2) * (m + 1) // 2], l_idx[: (m + 2) * (m + 1) // 2]
+        c, step = a[k] * a[l], max(1, _PAIR_BLOCK // len(k))
+        for start in range(0, len(group), step):
+            rows = group[start : start + step]
+            x = np.empty((len(rows), m + 2))
+            x[:, 0], x[:, 1:-1], x[:, -1] = 0.0, times[rows, :m], horizon
+            pos = (x[:, l] - x[:, k]) / dx
+            i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
+            frac = pos - i0
+            phi = phi_tab[i0] * (1.0 - frac) + phi_tab[1:][i0] * frac
+            out[rows] = np.cumsum(phi * c, axis=1)[:, -1]
     return -2.0 * out
 
 
@@ -235,9 +232,9 @@ def estimate_Z(
     c_mean = c * _mean_action(kernel, horizon)
 
     def draw(rng, n):
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        rng.integers(0, 2, size=n)  # initial signs, unused (A is even in them): keeps later draws
         times = _jump_matrix(rng, n, horizon)
-        expo = c * _action_chunk(signs, times, horizon, phi_tab, dx)
+        expo = c * _action_chunk(times, horizon, phi_tab, dx)
         if float(np.max(np.abs(expo))) > _EXP_LIMIT:
             raise EstimateUnreliableError(
                 "exp overflow in Z estimate: alpha * horizon too large"

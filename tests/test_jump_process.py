@@ -7,6 +7,7 @@ from scipy import integrate
 from spinboson.errors import EstimateUnreliableError
 from spinboson.integrator import coefficient
 from spinboson.jump_process import (
+    _PAIR_BLOCK,
     SpinPath,
     _action_chunk,
     _boundary_weights,
@@ -281,11 +282,11 @@ def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel)
     horizon = 30.0
     phi_tab, dx = indicator_kernel.phi_dense(horizon)
     signs, times = _chunk_with_short_paths(1024, horizon, 41)
-    got = _action_chunk(signs, times, horizon, phi_tab, dx)
+    got = _action_chunk(times, horizon, phi_tab, dx)
     want = _padded_action(signs, times, horizon, phi_tab, dx)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     # a path's action does not depend on the other paths of its call
-    parts = [_action_chunk(signs[a:a + 100], times[a:a + 100], horizon, phi_tab, dx)
+    parts = [_action_chunk(times[a:a + 100], horizon, phi_tab, dx)
              for a in range(0, 1024, 100)]
     assert np.array_equal(np.concatenate(parts), got)
     # against the exact Phi: linear interpolation is off by at most
@@ -298,15 +299,59 @@ def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel)
         assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
 
 
+def _sequential_action(sign, jumps, horizon, phi_tab, dx):
+    """-2 sum_{k<l} w_k w_l Phi(x_l - x_k) of one path, Phi linearly
+    interpolated, added one pair at a time in the l-major order
+    (1, 0), (2, 0), (2, 1), (3, 0), ...: the summation order Z is pinned to."""
+    x = np.concatenate([[0.0], jumps, [horizon]])
+    w = _boundary_weights(np.array([sign]), np.array([len(jumps)]), len(x))[0]
+    l, k = np.tril_indices(len(x), -1)
+    pos = (x[l] - x[k]) / dx
+    i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
+    frac = pos - i0
+    phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
+    return -2.0 * np.cumsum(w[k] * w[l] * phi)[-1]
+
+
+def test_action_chunk_is_the_sequential_sum_of_each_path(indicator_kernel):
+    horizon = 30.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    signs, times = _chunk_with_short_paths(1024, horizon, 41)
+    got = _action_chunk(times, horizon, phi_tab, dx)
+    counts = (times < horizon).sum(axis=1)
+    for i in list(range(4)) + list(range(4, 1024, 51)):
+        want = _sequential_action(signs[i], times[i, : counts[i]], horizon, phi_tab, dx)
+        assert got[i] == want
+        assert _action_chunk(times[i : i + 1], horizon, phi_tab, dx)[0] == want
+    # the grouping by jump count does not depend on the order of the paths
+    perm = stream(41, 1).permutation(1024)
+    assert np.array_equal(_action_chunk(times[perm], horizon, phi_tab, dx), got[perm])
+
+
+def test_action_chunk_path_longer_than_a_block(indicator_kernel):
+    horizon = 30.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    signs, times = _chunk_with_short_paths(24, horizon, 43)
+    times = np.concatenate([times, times[:, -1:] + 1.0 + np.arange(200)], axis=1)
+    times[5, :200] = np.sort(stream(43, 1).uniform(0.0, horizon, 200))
+    times[5, 200:] = horizon + 1.0 + np.arange(times.shape[1] - 200)
+    assert 202 * 201 // 2 > _PAIR_BLOCK  # the long path fills more than one block
+    got = _action_chunk(times, horizon, phi_tab, dx)
+    want = _padded_action(signs, times, horizon, phi_tab, dx)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for i in range(24):
+        assert _action_chunk(times[i : i + 1], horizon, phi_tab, dx)[0] == got[i]
+
+
 def test_action_chunk_memory_is_not_quadratic(indicator_kernel):
     import tracemalloc
 
     horizon = 30.0
     phi_tab, dx = indicator_kernel.phi_dense(horizon)
-    signs, times = _chunk_with_short_paths(1024, horizon, 42)
+    times = _chunk_with_short_paths(1024, horizon, 42)[1]
     tracemalloc.start()
     try:
-        _action_chunk(signs, times, horizon, phi_tab, dx)
+        _action_chunk(times, horizon, phi_tab, dx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
