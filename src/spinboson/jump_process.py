@@ -96,8 +96,8 @@ class MCEstimate:
 
 def sample_path(horizon: float, rng: np.random.Generator) -> SpinPath:
     """Draw one path: sign first, then exponential(1) waits accumulated to horizon."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     sign = int(rng.integers(0, 2)) * 2 - 1
     jumps = []
     t = rng.exponential()
@@ -227,6 +227,8 @@ def estimate_Z(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and positive")
     phi_tab, dx = kernel.phi_dense(horizon)
     c = 0.5 * alpha
     c_mean = c * _mean_action(kernel, horizon)

@@ -3,14 +3,22 @@
 The library integrates the interpolation parameters v exactly
 (ClusterTerm.weight); these keep v resolved, pair by pair, so the exact
 v-integral can be checked against the integrand it integrates.
+
+The finite-T Monte Carlo draws work column by column in the library; the
+row-wise references below (np.sort, sum(axis=1), np.all and the stacked
+(n, 2p) endpoint matrix) read the same streams, so their outputs must be
+the library's bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from spinboson.combinatorics import ForestSelection, _norm_edge
-from spinboson.integrator import ClusterTerm
+from spinboson.integrator import _MC_CHUNK, _TAG_BRUTE, ClusterTerm
 from spinboson.integrator import term_integrand as exact_term_integrand
 from spinboson.kernel import Kernel
+from spinboson.rng import mc_mean
 
 
 def overlap_matrix(starts, ends):
@@ -74,3 +82,60 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
         r = np.min(v[..., list(spec)], axis=-1)
         value = value * np.where(ov[..., i, j], 1.0 - r, 1.0)
     return float(value[0]) if scalar else value
+
+
+def raw_series_draw(kernel: Kernel, p: int, horizon: float):
+    """The per-sample raw-series quantity of brute_force_coefficient, with the
+    moment on the np.sort-ed times summed by sum(axis=1)."""
+
+    def draw(rng, n):
+        t = rng.uniform(0.0, horizon, size=(n, 2 * p))
+        hprod = np.ones(n)
+        for factor in kernel.h(t[:, 1::2] - t[:, 0::2]).T:
+            hprod *= factor
+        ts = np.sort(t, axis=1)
+        return hprod * np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
+
+    return draw
+
+
+def raw_series_coefficient(kernel: Kernel, p: int, horizon: float, budget: int, seed: int,
+                           workers: int = 1):
+    """(value, error) of the raw-series coefficient on brute_force_coefficient's
+    streams, drawn by raw_series_draw."""
+    scale = 0.5**p * horizon ** (2 * p) / math.factorial(p)
+    mean, err = mc_mean(raw_series_draw(kernel, p, horizon), budget, _MC_CHUNK, seed,
+                        _TAG_BRUTE, workers=workers)
+    return mean * scale, err * scale
+
+
+def mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon):
+    """The per-sample values of integrator._mc_chunk from the same draws, with
+    the deleted-edge factors gathered from the stacked (n, 2p) endpoints and
+    the box mask taken by np.all over the rows."""
+    p = term.p
+    lengths = rng.exponential(0.5, size=(n, p))
+    s = np.zeros((n, p))
+    weight = np.full(n, 0.5**p)
+    if horizon is not None:
+        s[:, term.pin_pair] = rng.uniform(0.0, horizon, size=n)
+        weight *= horizon
+    for child, parent, kind, cpt, ppt in term.opened.steps:
+        if kind == "h":
+            t_parent = s[:, parent] + (lengths[:, parent] if ppt % 2 else 0.0)
+            t_child = t_parent + kernel.displacement(rng, n)
+            s[:, child] = t_child - (lengths[:, child] if cpt % 2 else 0.0)
+            weight *= kernel.norm_l1
+        else:
+            span = lengths[:, child] + lengths[:, parent]
+            s[:, child] = (s[:, parent] - lengths[:, child]) + rng.random(n) * span
+            weight *= span
+    t = np.stack([s, s + lengths], axis=2).reshape(n, 2 * p)
+    a, b = np.array(term.opened.deleted_edges).T
+    for factor in kernel.h(t[:, a] - t[:, b]).T:
+        weight *= factor
+    ends = s + lengths
+    value = term.sign * weight * term.weight(s, ends)
+    if horizon is not None:
+        value *= np.all((s >= 0.0) & (ends <= horizon), axis=1)
+    return value

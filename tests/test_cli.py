@@ -163,6 +163,23 @@ def test_usage_errors(kernel_cfg):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["coefficient", "--p", "2", "--finite-T", "inf", "--seed", "1", "--budget", "10"],
+    ["coefficient", "--p", "2", "--finite-T", "nan", "--seed", "1", "--budget", "10"],
+    ["coefficient", "--p", "2", "--finite-T", "inf", "--raw", "--seed", "1", "--budget", "10"],
+    ["coefficient", "--p", "2", "--finite-T", "nan", "--raw", "--seed", "1", "--budget", "10"],
+    ["coefficient", "--p", "1", "--finite-T", "0", "--raw", "--seed", "1", "--budget", "10"],
+    ["verify", "resummation", "--horizon", "inf", "--budget", "10", "--seed", "1"],
+    ["simulate", "--horizon", "inf", "--alpha", "1e-4", "--samples", "10", "--seed", "1"],
+    ["simulate", "--horizon", "-1", "--alpha", "1e-4", "--samples", "10", "--seed", "1"],
+])
+def test_horizon_not_finite_and_positive_exits_2(kernel_cfg, argv, capsys):
+    # a configuration error, not a failed verification (exit 1) or an overflow
+    code, out = run_cli(argv + ["--kernel", kernel_cfg])
+    assert code == 2 and out == ""
+    assert "horizon" in capsys.readouterr().err
+
+
 def test_kernel_env_var(kernel_cfg, monkeypatch):
     monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)
     code, doc = run_json(["norms"])

@@ -9,6 +9,7 @@ from spinboson.errors import ConfigError, ResourceError, StructureError
 from spinboson.integrator import (
     ClusterTerm,
     _exp_divided_difference,
+    _mc_chunk,
     brute_force_coefficient,
     cluster_terms,
     coefficient,
@@ -17,9 +18,22 @@ from spinboson.integrator import (
 from spinboson.kernel import Kernel, KernelSpec, build_kernel
 from spinboson.rng import stream
 
-from oracles import interpolated_coupling, overlap_matrix, term_integrand
+from oracles import (
+    interpolated_coupling,
+    mc_chunk,
+    overlap_matrix,
+    raw_series_coefficient,
+    raw_series_draw,
+    term_integrand,
+)
 
 CROSS_A = ((0, 2), (1, 3))
+FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
+
+
+@pytest.fixture(scope="module")
+def radial_kernel():
+    return build_kernel(KernelSpec.radial_table(FOUR_PIECES))
 
 
 def _single_term(p):
@@ -430,6 +444,56 @@ def test_quadrature_capped_at_p2(indicator_kernel):
 def test_brute_force_capped(indicator_kernel):
     with pytest.raises(ResourceError):
         brute_force_coefficient(indicator_kernel, 4, 2.0, budget=10)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_horizon_must_be_finite_and_positive(indicator_kernel, horizon):
+    for method in ("mc", "quad"):
+        with pytest.raises(ValueError, match="finite positive horizon"):
+            integrate_term(indicator_kernel, _single_term(1), mode="finite", horizon=horizon,
+                           method=method, budget=10)
+    with pytest.raises(ValueError, match="finite and positive"):
+        brute_force_coefficient(indicator_kernel, 1, horizon, budget=10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_raw_series_equals_sorted_reference(indicator_kernel, radial_kernel, p, workers,
+                                            monkeypatch):
+    # the sorting network and the left-to-right gap sum are np.sort and
+    # sum(axis=1) bit for bit: per sample, and in the value and the batch-means
+    # error (whose sums can absorb a last-bit change of a few samples)
+    from spinboson import integrator
+
+    draws, mc_mean = [], integrator.mc_mean
+
+    def recording(draw, *args, **kwargs):
+        draws.append(draw)
+        return mc_mean(draw, *args, **kwargs)
+
+    monkeypatch.setattr(integrator, "mc_mean", recording)
+    for kernel in (indicator_kernel, radial_kernel):
+        est = brute_force_coefficient(kernel, p, 3.0, budget=20_000, seed=11, workers=workers)
+        want = raw_series_coefficient(kernel, p, 3.0, 20_000, 11, workers=workers)
+        assert (est.value, est.statistical_error) == want
+        got = draws.pop()(stream(11, 0), 5000).tobytes()
+        assert got == raw_series_draw(kernel, p, 3.0)(stream(11, 0), 5000).tobytes()
+
+
+def test_mc_chunk_equals_stacked_reference(indicator_kernel, radial_kernel):
+    # column-wise deleted-edge factors and box mask against the stacked (n, 2p)
+    # endpoints and np.all: every p <= 3 term and five p = 4 terms (every term
+    # has a deleted edge), pinned and at T = 3
+    terms = [t for p in (1, 2, 3) for t in cluster_terms(p)] + cluster_terms(4)[::61]
+    boxed = 0
+    for kernel in (indicator_kernel, radial_kernel):
+        for idx, term in enumerate(terms):
+            for horizon in (None, 3.0):
+                got = _mc_chunk(kernel, term, stream(94, idx), 300, horizon)
+                want = mc_chunk(kernel, term, stream(94, idx), 300, horizon)
+                assert got.tobytes() == want.tobytes()
+                boxed += horizon is not None and 0 < np.count_nonzero(got) < got.size
+    assert boxed > len(terms)  # the box mask both keeps and drops samples
 
 
 # c_2 on the cutoff-1 indicator, pinned and at T = 2, 5, 30: a momentum grid

@@ -47,6 +47,14 @@ def test_sample_path_statistics():
     assert abs(np.mean(signs == 1) - 0.5) < 3 * math.sqrt(0.25 / n)
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_horizon_must_be_finite_and_positive(indicator_kernel, horizon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        estimate_Z(1e-4, horizon, indicator_kernel, samples=10, seed=1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_path(horizon, stream(1, 0))
+
+
 def test_spin_path_validation():
     with pytest.raises(ValueError):
         SpinPath(2, np.array([1.0]), 5.0)
