@@ -114,7 +114,7 @@ def _cmd_coefficient(args):
         if mode != "finite":
             raise ConfigError("--raw needs --finite-T (the raw series lives at finite T)")
         est = integrator.brute_force_coefficient(
-            ker, args.p, args.finite_T, budget=args.budget or 1_000_000,
+            ker, args.p, args.finite_T, budget=1_000_000 if args.budget is None else args.budget,
             seed=args.seed, workers=args.workers,
         )
         return asdict(est), 0

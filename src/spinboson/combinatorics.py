@@ -9,9 +9,11 @@ multigraph of P's cross edges.
 
 A forest selection F is a set of "micro" edges between base pairs lying in
 distinct blocks, with at most one edge per unordered block pair, such that
-the induced simple graph on the blocks is a forest.  Selections index the
-terms of the BKAR (Brydges-Kennedy-Abdesselam-Rivasseau) interpolation
-identity for the hardcore product over intervals t_A = [t_{2i}, t_{2i+1}]:
+the induced simple graph on the blocks is a forest.  F sorts every other
+pair of base pairs into a block pair, a path pair (its blocks linked through
+the induced forest) or a free pair.  Selections index the terms of the BKAR
+(Brydges-Kennedy-Abdesselam-Rivasseau) interpolation identity for the
+hardcore product over intervals t_A = [t_{2i}, t_{2i+1}]:
 
   prod_{A<B} 1{t_A cap t_B = empty}
     = sum_F int_{[0,1]^F} prod_l dv_l
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -50,7 +53,6 @@ __all__ = [
     "partition_join",
     "ForestSelection",
     "enumerate_forest_selections",
-    "classify_pairs",
     "OpenedStructure",
     "open_cycles",
     "spanning_trees",
@@ -112,9 +114,8 @@ def enumerate_matchings(p: int, p_max: Optional[int] = None) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Cycle supports of the superposition, on points and on base pairs."""
+    """Cycle supports of the superposition, as sets of base pairs."""
 
-    point_blocks: tuple[frozenset, ...]
     pair_blocks: tuple[tuple[int, ...], ...]
     block_of: tuple[int, ...]  # base pair index -> block index
 
@@ -145,48 +146,53 @@ def partition_join(matching) -> BlockPartition:
                 cycle.append(x // 2)
                 x = partner[x ^ 1]
             pair_blocks.append(tuple(sorted(cycle)))
-    point_blocks = (frozenset(x for i in b for x in (2 * i, 2 * i + 1)) for b in pair_blocks)
-    return BlockPartition(tuple(point_blocks), tuple(pair_blocks), tuple(block_of))
+    return BlockPartition(tuple(pair_blocks), tuple(block_of))
 
 
 @dataclass(frozen=True)
 class ForestSelection:
-    """One micro-edge forest: edges between base pairs, induced forest on blocks."""
+    """One micro-edge forest: edges between base pairs, induced forest on blocks.
+
+    Its block and path pairs are worked out together on first use, so
+    enumerating selections stays cheap; the pairs in neither are free."""
 
     micro_edges: tuple[tuple[int, int], ...]  # pairs of base-pair indices, sorted
     hat_edges: tuple[tuple[int, int], ...]  # induced block pairs, aligned with micro_edges
     blocks: BlockPartition
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for idx, (x, y) in enumerate(self.hat_edges):
-            adj.setdefault(x, []).append((y, idx))
-            adj.setdefault(y, []).append((x, idx))
-        object.__setattr__(self, "_adj", adj)
 
     def hat_path(self, x: int, y: int) -> Optional[tuple[int, ...]]:
-        """Edge indices of the unique induced-forest path between blocks, if any."""
-        if x == y:
-            return ()
-        seen = {x: None}
+        """Edge indices of the unique induced-forest path from block x to y, if any."""
+        paths = {x: ()}
         queue = [x]
-        while queue:
-            cur = queue.pop(0)
-            for nbr, eidx in self._adj.get(cur, []):
-                if nbr in seen:
-                    continue
-                seen[nbr] = (cur, eidx)
-                if nbr == y:
-                    path = []
-                    node = y
-                    while seen[node] is not None:
-                        prev, eidx2 = seen[node]
-                        path.append(eidx2)
-                        node = prev
-                    return tuple(reversed(path))
-                queue.append(nbr)
-        return None
+        for cur in queue:  # breadth-first over the blocks reached so far
+            for idx, (a, b) in enumerate(self.hat_edges):
+                nbr = b if a == cur else a if b == cur else None
+                if nbr is not None and nbr not in paths:
+                    paths[nbr] = paths[cur] + (idx,)
+                    queue.append(nbr)
+        return paths.get(y)
+
+    @cached_property
+    def block_pairs(self) -> list[tuple[int, int]]:
+        """Pairs inside one block; fills path_pairs, the ((i, j), hat-edge
+        indices) of the forest-linked pairs, in the same lexicographic order."""
+        block_of, micro = self.blocks.block_of, set(self.micro_edges)
+        block, path = [], []
+        for i, j in itertools.combinations(range(len(block_of)), 2):
+            if (i, j) in micro:
+                continue
+            if block_of[i] == block_of[j]:
+                block.append((i, j))
+            elif (edges := self.hat_path(block_of[i], block_of[j])) is not None:
+                path.append(((i, j), edges))
+        self.__dict__["path_pairs"] = path
+        return block
+
+    @cached_property
+    def path_pairs(self) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+        """((i, j), hat-edge indices) of the pairs linked through the forest."""
+        _ = self.block_pairs
+        return self.__dict__["path_pairs"]
 
 
 def _forests_on_blocks(k: int, spanning: bool) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -233,36 +239,6 @@ def enumerate_forest_selections(
             yield ForestSelection(tuple(combo), tuple(hat), blocks)
 
 
-def classify_pairs(selection: ForestSelection):
-    """Classify every unordered base-pair pair for the term integrand.
-
-    Returns a list over pairs (i, j), i < j, of tuples:
-      ('forest', edge_idx)  -- the pair is a selected micro edge
-      ('block',)            -- same block: full hardcore factor
-      ('path', edge_idxs)   -- linked through the induced forest: min-v coupling
-      ('free',)             -- different forest components: no coupling
-    """
-    p = len(selection.blocks.block_of)
-    micro_index = {e: idx for idx, e in enumerate(selection.micro_edges)}
-    out = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            e = (i, j)
-            if e in micro_index:
-                out.append((e, ("forest", micro_index[e])))
-                continue
-            x, y = selection.blocks.block_of[i], selection.blocks.block_of[j]
-            if x == y:
-                out.append((e, ("block",)))
-                continue
-            path = selection.hat_path(x, y)
-            if path is None:
-                out.append((e, ("free",)))
-            else:
-                out.append((e, ("path", path)))
-    return out
-
-
 @dataclass(frozen=True)
 class OpenedStructure:
     """Cycle opening of (P, F): the spanning tree walked by the integrator."""
@@ -278,14 +254,14 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
     plus the selected forest, rooted at root_pair.  Breadth-first from the
     root, the p - 1 edges must reach all p base pairs: then they are a tree."""
     p = _validate_matching(matching)
-    blocks = selection.blocks
-    deleted = []
-    for pts in blocks.point_blocks:
-        cycle_edges = [e for e in matching if e[0] in pts]
-        deleted.append(min(cycle_edges, key=lambda e: (min(e), max(e))))
-    deleted_set = set(deleted)
-    opened = tuple(e for e in matching if e not in deleted_set)
-    assert len(opened) == len(matching) - len(blocks.point_blocks)
+    if not 0 <= root_pair < p:
+        raise ValueError(f"root pair {root_pair} outside 0..{p - 1}")
+    block_of = selection.blocks.block_of
+    if any(block_of[a // 2] != block_of[b // 2] for a, b in matching):
+        raise StructureError("a P-edge leaves its block: the selection is not on this matching")
+    deleted = [min((e for e in matching if block_of[e[0] // 2] == b), key=sorted)
+               for b in range(len(selection.blocks.pair_blocks))]
+    opened = tuple(e for e in matching if e not in deleted)
 
     tree: list[tuple] = []
     for a, b in opened:
@@ -357,9 +333,8 @@ def compatible_pair_counts(p: int, p_max: Optional[int] = None) -> dict[tuple, i
     counts: dict[tuple, int] = {}
     for matching in enumerate_matchings(p, p_max):
         blocks = partition_join(matching)
-        cycle_pedges = [
-            [e for e in matching if e[0] in pts] for pts in blocks.point_blocks
-        ]
+        cycle_pedges = [[e for e in matching if blocks.block_of[e[0] // 2] == b]
+                        for b in range(len(blocks.pair_blocks))]
         openings = []  # contracted edges kept by each deletion that opens every cycle
         for deletion in itertools.product(*cycle_pedges):
             kept = [e for e in matching if e not in set(deletion)]
@@ -395,10 +370,9 @@ def forest_volume(selection: ForestSelection, overlap):
     q = len(selection.micro_edges)
     sets = np.arange(1 << q)
     tail = np.zeros(ov.shape[:-2] + (1 << q,)) + [int(S).bit_count() for S in sets]
-    for (i, j), cls in classify_pairs(selection):
-        if cls[0] == "path":
-            path = sum(1 << e for e in cls[1])
-            tail[..., (sets & path) == path] += ov[..., i, j, None]
+    for (i, j), edges in selection.path_pairs:
+        path = sum(1 << e for e in edges)
+        tail[..., (sets & path) == path] += ov[..., i, j, None]
     acc = np.empty_like(tail)
     acc[..., 0] = 1.0
     for S in range(1, 1 << q):  # every subset of S is visited before S
@@ -420,27 +394,14 @@ def verify_bkar_identity(matching, t) -> float:
     starts, ends = t[0::2], t[1::2]
     if np.any(starts >= ends):
         raise ValueError("each interval needs t_{2i} < t_{2i+1}")
-    overlap = [
-        [
-            (starts[i] <= ends[j]) and (starts[j] <= ends[i]) and i != j
-            for j in range(p)
-        ]
-        for i in range(p)
-    ]
-    lhs = float(not any(overlap[i][j] for i in range(p) for j in range(i + 1, p)))
+    overlap = (starts[:, None] <= ends) & (starts <= ends[:, None])
+    np.fill_diagonal(overlap, False)
+    lhs = float(not overlap.any())
 
     rhs = 0.0
     for sel in enumerate_forest_selections(matching, connecting_only=False, p_max=p):
-        term = (-1.0) ** len(sel.micro_edges)
-        ok = True
-        for (i, j), cls in classify_pairs(sel):
-            if cls[0] == "forest" and not overlap[i][j]:
-                ok = False  # the derivative factor demands overlap
-            elif cls[0] == "block" and overlap[i][j]:
-                ok = False  # full hardcore factor kills the term
-            if not ok:
-                break
-        if not ok:
-            continue
-        rhs += term * forest_volume(sel, overlap)
+        # each selected pair must overlap (derivative factor), no same-block pair may
+        if all(overlap[e] for e in sel.micro_edges) and not any(
+                overlap[e] for e in sel.block_pairs):
+            rhs += (-1.0) ** len(sel.micro_edges) * forest_volume(sel, overlap)
     return abs(lhs - rhs)

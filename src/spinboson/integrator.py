@@ -52,7 +52,6 @@ import numpy as np
 from .combinatorics import (
     ForestSelection,
     check_order,
-    classify_pairs,
     enumerate_forest_selections,
     enumerate_matchings,
     forest_volume,
@@ -105,23 +104,6 @@ class ClusterTerm:
         self.sign = (-1.0) ** self.q
         self.pin_pair = pin_pair
 
-    # the pair classes are worked out on first use: enumerating terms stays cheap
-    @cached_property
-    def _classes(self):
-        return classify_pairs(self.selection)
-
-    @cached_property
-    def forest_pairs(self):
-        return [e for e, c in self._classes if c[0] == "forest"]
-
-    @cached_property
-    def block_pairs(self):
-        return [e for e, c in self._classes if c[0] == "block"]
-
-    @cached_property
-    def path_pairs(self):
-        return [(e, c[1]) for e, c in self._classes if c[0] == "path"]
-
     @cached_property
     def opened(self):
         return open_cycles(self.matching, self.selection, root_pair=self.pin_pair)
@@ -130,27 +112,29 @@ class ClusterTerm:
     def volumes(self) -> np.ndarray:
         """Exact v-integral per overlap pattern: bit k of the index is set when
         path pair k overlaps."""
-        codes = np.arange(1 << len(self.path_pairs))
+        path_pairs = self.selection.path_pairs
+        codes = np.arange(1 << len(path_pairs))
         ov = np.zeros((len(codes), self.p, self.p), dtype=bool)
-        for k, ((i, j), _) in enumerate(self.path_pairs):
+        for k, ((i, j), _) in enumerate(path_pairs):
             ov[:, i, j] = ov[:, j, i] = (codes >> k) & 1
         return forest_volume(self.selection, ov)
 
     def weight(self, starts, ends) -> np.ndarray:
         """Interval weight of the term, for closed intervals [starts, ends] of
-        shape (..., p): 0 unless every forest pair overlaps and no block pair
-        does, else the exact v-integral of the path-pair overlap pattern."""
+        shape (..., p): 0 unless every selected pair overlaps and no block
+        pair does, else the exact v-integral of the path-pair overlap pattern."""
 
         def overlap(i, j):
             return (starts[..., i] <= ends[..., j]) & (starts[..., j] <= ends[..., i])
 
+        sel = self.selection
         allowed = np.ones(starts.shape[:-1], dtype=bool)
-        for i, j in self.forest_pairs:
+        for i, j in sel.micro_edges:
             allowed &= overlap(i, j)
-        for i, j in self.block_pairs:
+        for i, j in sel.block_pairs:
             allowed &= ~overlap(i, j)
         code = np.zeros(allowed.shape, dtype=np.intp)
-        for k, ((i, j), _) in enumerate(self.path_pairs):
+        for k, ((i, j), _) in enumerate(sel.path_pairs):
             code |= overlap(i, j).astype(np.intp) << k
         return np.where(allowed, self.volumes[code], 0.0)
 
@@ -340,6 +324,8 @@ def integrate_term(
         horizon = None
     else:
         raise ValueError("mode must be 'pinned' or 'finite'")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     _ = term.opened  # raises StructureError for non-connecting terms
     if kernel.norm_inf == 0.0 and kernel.norm_l1 == 0.0:
         # h identically zero wipes every term (each carries p kernel factors)
@@ -361,7 +347,7 @@ def integrate_term(
         )
     if method != "mc":
         raise ValueError("method must be 'quad' or 'mc'")
-    _ = term.volumes  # fill the table once, before the batches share it
+    _ = term.volumes  # fill the table and pair classes before the batches share them
     value, err = mc_mean(
         lambda rng, n: _mc_chunk(kernel, term, rng, n, horizon),
         budget or 200_000, _MC_CHUNK, seed, _TAG_TERM, term_index, workers=workers,

@@ -229,6 +229,8 @@ def estimate_Z(
         raise ValueError("samples must be >= 1")
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be finite and positive")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     phi_tab, dx = kernel.phi_dense(horizon)
     c = 0.5 * alpha
     c_mean = c * _mean_action(kernel, horizon)

@@ -112,14 +112,15 @@ class KernelSpec:
         if not isinstance(doc, dict) or "mode" not in doc:
             raise ConfigError("kernel config must be an object with a 'mode' key")
         mode = doc["mode"]
-        if mode == "indicator":
-            if "cutoff" not in doc:
-                raise ConfigError("indicator kernel needs a 'cutoff'")
-            return KernelSpec.indicator(doc["cutoff"])
-        if mode in ("radial_table", "h_table"):
-            if "points" not in doc:
-                raise ConfigError(f"{mode} kernel needs a 'points' array")
-            return KernelSpec(mode=mode, points=np.asarray(doc["points"], dtype=float))
+        try:
+            if mode == "indicator":
+                return KernelSpec.indicator(doc["cutoff"])
+            if mode in ("radial_table", "h_table"):
+                return KernelSpec(mode=mode, points=np.asarray(doc["points"], dtype=float))
+        except KeyError as exc:
+            raise ConfigError(f"{mode} kernel needs {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a null, an object or a ragged table
+            raise ConfigError(f"{mode} kernel config: {exc}") from exc
         raise ConfigError(f"unknown kernel mode {mode!r}")
 
     @staticmethod

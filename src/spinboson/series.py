@@ -29,6 +29,7 @@ reciprocal is the quoted lower bound on the radius of convergence
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -139,6 +140,8 @@ def energy(
         lam = lambda_from_alpha(alpha.real) if (
             isinstance(alpha, (int, float)) and alpha >= 0
         ) else None
+    if not cmath.isfinite(alpha):
+        raise ValueError("the coupling must be finite")
     if coefficients is None:
         coefficients = tuple(
             coefficient(

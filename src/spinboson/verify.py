@@ -169,23 +169,24 @@ def census(p: int) -> dict:
 
 
 def counts(p: int = 4) -> dict:
-    """Census checks at orders 1..p: matching counts, even cycle supports,
-    connecting selections are exactly those whose cycle opening is a tree,
-    offspring counts of those trees, fewer than 4^q compatible pairs per
-    tree, and the labeled-tree degree census (orders 2..6) against Cayley's
-    formula."""
+    """Census checks at orders 1..p: matching counts, every P-edge closing
+    inside one block (key "even_cycle_supports"), connecting selections are
+    exactly those whose cycle opening is a tree, offspring counts of those
+    trees, fewer than 4^q compatible pairs per tree, and the labeled-tree
+    degree census (orders 2..6) against Cayley's formula."""
     checks = {}
     checks["matching_counts"] = all(
         comb.matching_count(q) == len(list(comb.enumerate_matchings(q, p_max=p)))
         for q in range(1, p + 1)
     )
 
-    ok_even = True
+    ok_closed = True
     ok_consistency = True
     ok_offspring = True
     for q in range(1, p + 1):
         for m in comb.enumerate_matchings(q, p_max=p):
-            ok_even &= all(len(b) % 2 == 0 for b in comb.partition_join(m).point_blocks)
+            block_of = comb.partition_join(m).block_of
+            ok_closed &= all(block_of[a // 2] == block_of[b // 2] for a, b in m)
             spanning = []
             for s in comb.enumerate_forest_selections(m, p_max=p):
                 try:
@@ -196,7 +197,7 @@ def counts(p: int = 4) -> dict:
                 ok_offspring &= sum(opened.offspring) == len(s.micro_edges) <= max(q - 1, 0)
             conn = comb.enumerate_forest_selections(m, connecting_only=True, p_max=p)
             ok_consistency &= sorted(s.micro_edges for s in conn) == sorted(spanning)
-    checks["even_cycle_supports"] = ok_even
+    checks["even_cycle_supports"] = ok_closed
     checks["connecting_enumeration_consistent"] = ok_consistency
     checks["offspring_counts"] = ok_offspring
 

@@ -70,15 +70,15 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
     for a, b in term.matching:
         value = value * kernel.h(t[..., a] - t[..., b])
     ov = overlap_matrix(starts, ends)
-    for i, j in term.forest_pairs:
+    for i, j in term.selection.micro_edges:
         value = value * ov[..., i, j]
     value = value * term.sign
-    for i, j in term.block_pairs:
+    for i, j in term.selection.block_pairs:
         value = np.where(ov[..., i, j], 0.0, value)
     v = np.asarray(v, dtype=float)
     if scalar and v.ndim == 1:
         v = v[None, :]
-    for (i, j), spec in term.path_pairs:
+    for (i, j), spec in term.selection.path_pairs:
         r = np.min(v[..., list(spec)], axis=-1)
         value = value * np.where(ov[..., i, j], 1.0 - r, 1.0)
     return float(value[0]) if scalar else value

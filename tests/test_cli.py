@@ -285,3 +285,39 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
     assert out.stdout.strip() == "[0, 0] []"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coefficient", "--p", "2", "--pin-pair", "5", "--seed", "1", "--budget", "10"], "root pair"),
+    (["coefficient", "--p", "2", "--pin-pair", "-1", "--seed", "1", "--budget", "10"], "root pair"),
+    (["coefficient", "--p", "2", "--pin-pair", "5", "--method", "quad"], "root pair"),
+    (["coefficient", "--p", "2", "--budget", "0", "--seed", "1"], "budget"),
+    (["coefficient", "--p", "2", "--budget", "-3", "--seed", "1"], "budget"),
+    (["coefficient", "--p", "2", "--budget", "0", "--method", "quad"], "budget"),
+    (["coefficient", "--p", "1", "--budget", "0", "--seed", "1", "--raw", "--finite-T", "3"],
+     "samples"),
+    (["energy", "--pmax", "1", "--budget", "0", "--seed", "1", "--alpha", "1e-4"], "budget"),
+    (["simulate", "--alpha", "nan", "--horizon", "5", "--samples", "10", "--seed", "1"],
+     "alpha must be finite"),
+    (["simulate", "--alpha", "inf", "--horizon", "5", "--samples", "10", "--seed", "1"],
+     "alpha must be finite"),
+    (["energy", "--pmax", "1", "--method", "quad", "--alpha", "nan"], "coupling must be finite"),
+    (["energy", "--pmax", "1", "--method", "quad", "--alpha", "inf"], "coupling must be finite"),
+    (["energy", "--pmax", "1", "--method", "quad", "--lambda", "nan"], "coupling must be finite"),
+])
+def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys):
+    code, out = run_cli(argv + ["--kernel", kernel_cfg])
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"mode": "indicator", "cutoff": None},
+    {"mode": "radial_table", "points": [[0.5, 1.0], {}]},
+])
+def test_malformed_kernel_config_exits_2(tmp_path, doc, capsys):
+    cfg = tmp_path / "kernel.json"
+    cfg.write_text(json.dumps(doc))
+    code, out = run_cli(["norms", "--kernel", str(cfg)])
+    assert code == 2 and out == ""
+    assert "kernel" in capsys.readouterr().err

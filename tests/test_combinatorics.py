@@ -10,7 +10,6 @@ from scipy.stats import qmc
 from spinboson.combinatorics import (
     ForestSelection,
     base_matching,
-    classify_pairs,
     compatible_pair_counts,
     degree_census,
     enumerate_forest_selections,
@@ -61,14 +60,15 @@ def test_partition_join_crossing_merges():
     # hand union-find on 4 points: 0-1 and 2-3 from the base, 0-2 and 1-3 from P
     blocks = partition_join(CROSS_A)
     assert blocks.pair_blocks == ((0, 1),)
-    assert blocks.point_blocks == (frozenset({0, 1, 2, 3}),)
+    assert blocks.block_of == (0, 0)
 
 
 def test_cycle_supports_are_even():
+    # every P-edge closes inside one block, so each block is a union of cycles
     for p in (2, 3, 4):
         for m in enumerate_matchings(p):
-            blocks = partition_join(m)
-            assert all(len(b) % 2 == 0 for b in blocks.point_blocks)
+            block_of = partition_join(m).block_of
+            assert all(block_of[a // 2] == block_of[b // 2] for a, b in m)
 
 
 def test_forest_selections_p1():
@@ -202,7 +202,7 @@ def test_open_cycles_counts_random(random_matching):
         blocks = partition_join(m)
         sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
         opened = open_cycles(m, sel)
-        assert len(opened.deleted_edges) == len(blocks.point_blocks)
+        assert len(opened.deleted_edges) == len(blocks.pair_blocks)
         assert sum(opened.offspring) == len(sel.micro_edges)
         assert len(sel.micro_edges) <= p - 1
         assert len(opened.steps) == p - 1
@@ -258,7 +258,8 @@ def _count_compatible_pairs_per_tree(tree, p):
     count = 0
     for matching in enumerate_matchings(p):
         blocks = partition_join(matching)
-        cycle_pedges = [[e for e in matching if e[0] in pts] for pts in blocks.point_blocks]
+        cycle_pedges = [[e for e in matching if blocks.block_of[e[0] // 2] == b]
+                        for b in range(len(blocks.pair_blocks))]
         for sel in enumerate_forest_selections(matching, connecting_only=True):
             micro = set(sel.micro_edges)
             if not micro <= set(tree):
@@ -342,9 +343,9 @@ def _closed_form_volume(sel, overlap):
         [1/(b+1) - 1/(a+b+c+2)] / (a+c+1) + [1/(a+1) - 1/(a+b+c+2)] / (b+c+1).
     """
     counts = {(0,): 0, (1,): 0, (0, 1): 0}
-    for (i, j), cls in classify_pairs(sel):
-        if cls[0] == "path" and overlap[i][j]:
-            counts[tuple(sorted(cls[1]))] += 1
+    for (i, j), edges in sel.path_pairs:
+        if overlap[i][j]:
+            counts[tuple(sorted(edges))] += 1
     a, b, c = counts[(0,)], counts[(1,)], counts[(0, 1)]
     q = len(sel.micro_edges)
     if q == 0:
@@ -395,3 +396,75 @@ def test_forest_volume_properties(rnd):
     assert abs(vol - _sobol_volume(sel, overlap)) < 5e-3
     if q <= 2:
         assert vol == pytest.approx(_closed_form_volume(sel, overlap), rel=0, abs=1e-14)
+
+
+def _linked(sel, x, y):
+    """Whether the induced forest connects blocks x and y, by growing x's component."""
+    seen = {x}
+    while True:
+        grown = seen | {a + b - c for a, b in sel.hat_edges for c in (a, b) if c in seen}
+        if grown == seen:
+            return y in seen
+        seen = grown
+
+
+def test_pair_classes_of_every_selection():
+    # every pair outside the selection lies in one block, is linked by a hat
+    # path that walks from its one block to the other, or is free
+    for p in (2, 3, 4):
+        for m in enumerate_matchings(p):
+            for sel in enumerate_forest_selections(m):
+                block_of = sel.blocks.block_of
+                rest = [e for e in itertools.combinations(range(p), 2) if e not in sel.micro_edges]
+                assert sel.block_pairs == [(i, j) for i, j in rest if block_of[i] == block_of[j]]
+                assert [e for e, _ in sel.path_pairs] == [
+                    (i, j) for i, j in rest
+                    if block_of[i] != block_of[j] and _linked(sel, block_of[i], block_of[j])]
+                for (i, j), edges in sel.path_pairs:
+                    at = block_of[i]
+                    for a, b in (sel.hat_edges[e] for e in edges):
+                        assert at in (a, b)
+                        at = a + b - at
+                    assert at == block_of[j]
+
+
+def test_open_cycles_rejects_root_pair_outside_the_pairs():
+    m = base_matching(3)
+    sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
+    for root in (-1, 3, 5):
+        with pytest.raises(ValueError, match="root pair"):
+            open_cycles(m, sel, root_pair=root)
+
+
+def test_open_cycles_rejects_selection_of_another_matching():
+    # the base matching's singleton blocks split the one cycle of CROSS_A
+    sel = next(iter(enumerate_forest_selections(base_matching(2), connecting_only=True)))
+    with pytest.raises(StructureError, match="leaves its block"):
+        open_cycles(CROSS_A, sel)
+
+
+def test_verify_counts_catches_a_wrong_cycle_walk(monkeypatch):
+    # a walk that steps to x's partner in P, not to the partner of x ^ 1,
+    # stops after two base pairs and splits every longer cycle
+    from spinboson import combinatorics, verify
+
+    def short_walk(matching):
+        partner = {}
+        for a, b in matching:
+            partner[a], partner[b] = b, a
+        block_of, pair_blocks = [None] * len(matching), []
+        for i in range(len(matching)):
+            if block_of[i] is None:
+                cycle, x = [], 2 * i
+                while block_of[x // 2] is None:
+                    block_of[x // 2] = len(pair_blocks)
+                    cycle.append(x // 2)
+                    x = partner[x]
+                pair_blocks.append(tuple(sorted(cycle)))
+        return combinatorics.BlockPartition(tuple(pair_blocks), tuple(block_of))
+
+    assert verify.counts(3)["passed"]
+    monkeypatch.setattr(combinatorics, "partition_join", short_walk)
+    doc = verify.counts(3)
+    assert doc["checks"]["even_cycle_supports"] is False
+    assert doc["passed"] is False

@@ -48,27 +48,21 @@ def test_term_census():
     assert len(cluster_terms(3)) == 23
 
 
-def test_cluster_terms_classify_pairs_on_first_use(indicator_kernel, monkeypatch):
-    from spinboson import integrator
-
-    calls = [0]
-    classify = integrator.classify_pairs
-
-    def counted(selection):
-        calls[0] += 1
-        return classify(selection)
-
-    monkeypatch.setattr(integrator, "classify_pairs", counted)
+def test_cluster_terms_classify_pairs_on_first_use(indicator_kernel):
+    # enumeration leaves the pair classes unset; the first use fills both together
     terms = cluster_terms(4)
-    assert calls[0] == 0
+    assert not any({"block_pairs", "path_pairs"} & set(vars(t.selection)) for t in terms)
     picks = (0, 97, 194, 291)
     for k in picks:
         eager = cluster_terms(4)[k]
-        _ = eager.forest_pairs, eager.block_pairs, eager.path_pairs
+        _ = eager.selection.path_pairs
+        assert {"block_pairs", "path_pairs"} <= set(vars(eager.selection))
         a = integrate_term(indicator_kernel, terms[k], budget=300, seed=4, term_index=k)
         b = integrate_term(indicator_kernel, eager, budget=300, seed=4, term_index=k)
+        assert {"block_pairs", "path_pairs"} <= set(vars(terms[k].selection))
         assert (a.value, a.statistical_error) == (b.value, b.statistical_error)
-    assert calls[0] == 2 * len(picks)  # once per term, however often it is used
+    untouched = [t for k, t in enumerate(terms) if k not in picks]
+    assert not any({"block_pairs", "path_pairs"} & set(vars(t.selection)) for t in untouched)
 
 
 def test_order2_term_signs(indicator_kernel):
@@ -159,12 +153,6 @@ def test_pinned_p2_quadrature_vs_mc_all_terms(indicator_kernel):
         )
         tol = 3 * mc_est.statistical_error + 1e-6 * abs(quad_est.value)
         assert abs(quad_est.value - mc_est.value) < tol
-
-
-def test_pinning_point_independence_p2(indicator_kernel):
-    a = coefficient(indicator_kernel, 2, method="quad", pin_pair=0)
-    b = coefficient(indicator_kernel, 2, method="quad", pin_pair=1)
-    assert a.value == pytest.approx(b.value, rel=3e-6)
 
 
 @pytest.mark.parametrize("horizon", [None, 5.0])
@@ -262,11 +250,11 @@ def test_mc_weights_reproduce_integrand(indicator_kernel):
         dens, t = _proposal_density(indicator_kernel, term, lengths, starts)
         ov = overlap_matrix(starts, starts + lengths)
         hard = np.ones(n)
-        for i, j in term.block_pairs:
+        for i, j in term.selection.block_pairs:
             hard *= ~ov[:, i, j]
         v = rng_master.random((n, term.q)) if term.q else None
         path_factor = np.ones(n)
-        for (i, j), spec in term.path_pairs:
+        for (i, j), spec in term.selection.path_pairs:
             r = np.min(v[:, list(spec)], axis=1)
             path_factor *= np.where(ov[:, i, j], 1.0 - r, 1.0)
         lhs = term.sign * weight * hard * path_factor * dens
@@ -359,7 +347,7 @@ def test_exact_v_integrand_uses_forest_volume(indicator_kernel):
     # v = 0 switches every path coupling off, leaving the rest of the integrand;
     # the exact v-integral must then be that times forest_volume of the sample
     rng = stream(96, 0)
-    terms = [t for t in cluster_terms(4) if t.path_pairs]
+    terms = [t for t in cluster_terms(4) if t.selection.path_pairs]
     for term in terms[::7] + [t for t in terms if t.q == 3][:4]:
         starts = rng.uniform(-1.5, 1.5, size=(16, term.p))
         lengths = rng.exponential(0.8, size=(16, term.p)) + 1e-3
@@ -572,3 +560,23 @@ def test_exp_divided_difference_confluent():
     got = [_exp_divided_difference(np.array([r]))[0] for r in rows]
     want = [math.exp(r[0]) / math.factorial(len(r) - 1) for r in rows]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("pin_pair", [-1, 2, 5])
+def test_pin_pair_outside_the_pairs_rejected(indicator_kernel, pin_pair):
+    for method in ("mc", "quad"):
+        with pytest.raises(ValueError, match="root pair"):
+            coefficient(indicator_kernel, 2, method=method, budget=10, pin_pair=pin_pair)
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_rejected(indicator_kernel, budget):
+    # only None means the default: 0 is neither 200000 samples nor "no cap"
+    for method in ("mc", "quad"):
+        with pytest.raises(ValueError, match="budget"):
+            integrate_term(indicator_kernel, _single_term(2), method=method, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            coefficient(indicator_kernel, 1, mode="finite", horizon=3.0, method=method,
+                        budget=budget)
+    with pytest.raises(ValueError):
+        brute_force_coefficient(indicator_kernel, 1, 3.0, budget=budget)

@@ -364,3 +364,9 @@ def test_action_chunk_memory_is_not_quadratic(indicator_kernel):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # the padded cube needs over 100 MiB here
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_alpha_must_be_finite(indicator_kernel, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        estimate_Z(alpha, 5.0, indicator_kernel, samples=10, seed=1)

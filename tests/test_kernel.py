@@ -91,6 +91,22 @@ def test_invalid_specs_rejected():
         build_kernel(KernelSpec.from_dict({"mode": "mystery"}))
 
 
+@pytest.mark.parametrize("doc", [
+    {"mode": "indicator", "cutoff": None},
+    {"mode": "indicator", "cutoff": {}},
+    {"mode": "radial_table", "points": [[0.5, 1.0], [1.0, {}]]},
+    {"mode": "h_table", "points": [{}, None]},
+    {"mode": "h_table", "points": [[0.0, 1.0], None]},
+    {"mode": "h_table", "points": [[0.0, 1.0], [1.0, None]]},
+    {"mode": "indicator", "cutoff": "one"},
+])
+def test_malformed_kernel_configs_are_config_errors(doc):
+    # a null, an object or a ragged table where numbers belong; a null inside a
+    # full table row reads as nan, which validation rejects
+    with pytest.raises(ConfigError):
+        build_kernel(KernelSpec.from_dict(doc))
+
+
 def test_rectangle_mass_against_2d_quadrature(indicator_kernel):
     # oracle: direct 2-D adaptive quadrature of int_0^1 int_0^1 h(t-s), which is
     # Phi(1) - Phi(0) - Phi(0) + Phi(-1) = 2 Phi(1) as Phi is even with Phi(0) = 0

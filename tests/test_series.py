@@ -159,3 +159,13 @@ def test_energy_requires_one_coupling(indicator_kernel):
         energy(indicator_kernel, alpha=1e-4, lam=0.1, p_max=1)
     with pytest.raises(ValueError):
         energy(indicator_kernel, p_max=1)
+
+
+@pytest.mark.parametrize("coupling", [
+    {"alpha": math.nan}, {"alpha": math.inf}, {"alpha": complex(1e-4, math.nan)},
+    {"lam": math.nan}, {"lam": math.inf},
+])
+def test_energy_rejects_a_coupling_that_is_not_finite(indicator_kernel, coupling):
+    c = [coefficient(indicator_kernel, 1, method="quad")]
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        energy(indicator_kernel, p_max=1, coefficients=c, **coupling)
