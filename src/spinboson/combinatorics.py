@@ -29,6 +29,12 @@ Opening each superposition cycle by deleting one P-edge turns a connecting
 pair (P, F) into a spanning tree on the base pairs whose edges are either
 kernel-decay edges (from the opened matching) or interval-overlap edges
 (from F); the Monte Carlo integrator walks that tree.
+
+The order cap is checked once, where a caller's p enters: at the top of
+every function that runs an enumeration to completion (cluster_terms under
+the caller's cap, the census and BKAR checks up to HARD_P_MAX, and
+brute_force_coefficient).  The lazy enumerators enumerate_matchings and
+enumerate_forest_selections check nothing; what drives them checks first.
 """
 
 from __future__ import annotations
@@ -94,9 +100,8 @@ def matching_count(p: int) -> int:
     return n
 
 
-def enumerate_matchings(p: int, p_max: Optional[int] = None) -> Iterator[tuple]:
+def enumerate_matchings(p: int) -> Iterator[tuple]:
     """All perfect matchings of 0..2p-1, each exactly once, canonical order."""
-    check_order(p, p_max)
 
     def rec(items):
         if not items:
@@ -219,11 +224,9 @@ def _forests_on_blocks(k: int, spanning: bool) -> Iterator[tuple[tuple[int, int]
 
 
 def enumerate_forest_selections(
-    matching, connecting_only: bool = False, p_max: Optional[int] = None
+    matching, connecting_only: bool = False
 ) -> Iterator[ForestSelection]:
     """All valid forest selections for P (only spanning-tree ones if connecting)."""
-    p = _validate_matching(matching)
-    check_order(p, p_max)
     blocks = partition_join(matching)
     k = len(blocks.pair_blocks)
     for hat in _forests_on_blocks(k, spanning=connecting_only):
@@ -245,7 +248,6 @@ class OpenedStructure:
 
     deleted_edges: tuple[tuple[int, int], ...]  # one P-edge per cycle
     steps: tuple[tuple, ...]  # (child, parent, kind, child_point, parent_point)
-    offspring: tuple[int, ...]  # number of overlap-edge children per base pair
 
 
 def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> OpenedStructure:
@@ -261,50 +263,26 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
         raise StructureError("a P-edge leaves its block: the selection is not on this matching")
     deleted = [min((e for e in matching if block_of[e[0] // 2] == b), key=sorted)
                for b in range(len(selection.blocks.pair_blocks))]
-    opened = tuple(e for e in matching if e not in deleted)
-
-    tree: list[tuple] = []
-    for a, b in opened:
-        i, j = a // 2, b // 2
-        assert i != j, "internal edges always open their own 2-cycle"
-        tree.append((*_norm_edge(i, j), "h", _norm_edge(a, b)))
-    for (i, j) in selection.micro_edges:
-        tree.append((i, j, "overlap", None))
-
-    if len(tree) != p - 1:
+    opened = [e for e in matching if e not in deleted]
+    if len(opened) + len(selection.micro_edges) != p - 1:
         raise StructureError("selection is not connecting: no spanning tree")
 
-    adj: dict[int, list[tuple]] = {i: [] for i in range(p)}
-    for i, j, kind, micro in tree:
-        adj[i].append((j, kind, micro))
-        adj[j].append((i, kind, micro))
-    for i in adj:
-        adj[i].sort(key=lambda x: x[0])
-
-    order = [root_pair]  # BFS queue
-    steps = []
-    offspring = [0] * p
-    seen = {root_pair}
-    qpos = 0
-    while qpos < len(order):
-        cur = order[qpos]
-        qpos += 1
-        for nbr, kind, micro in adj[cur]:
-            if nbr in seen:
-                continue
-            seen.add(nbr)
-            order.append(nbr)
-            if kind == "h":
-                a, b = micro
-                child_pt, parent_pt = (a, b) if a // 2 == nbr else (b, a)
-                steps.append((nbr, cur, "h", child_pt, parent_pt))
-            else:
-                steps.append((nbr, cur, "overlap", None, None))
-                offspring[cur] += 1
+    adj: list[list[tuple]] = [[] for _ in range(p)]  # (neighbour, kind, its point, ours)
+    for a, b in opened:
+        adj[a // 2].append((b // 2, "h", b, a))
+        adj[b // 2].append((a // 2, "h", a, b))
+    for i, j in selection.micro_edges:
+        adj[i].append((j, "overlap", None, None))
+        adj[j].append((i, "overlap", None, None))
+    order, steps = [root_pair], []
+    for cur in order:  # breadth first, each pair's neighbours in increasing order
+        for nbr, kind, child_pt, parent_pt in sorted(adj[cur], key=lambda e: e[0]):
+            if nbr not in order:
+                order.append(nbr)
+                steps.append((nbr, cur, kind, child_pt, parent_pt))
     if len(order) != p:
         raise StructureError("opened edges plus selection do not form a tree")
-
-    return OpenedStructure(tuple(deleted), tuple(steps), tuple(offspring))
+    return OpenedStructure(tuple(deleted), tuple(steps))
 
 
 def spanning_trees(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -325,13 +303,14 @@ def degree_census(p: int) -> dict[tuple[int, ...], int]:
     return census
 
 
-def compatible_pair_counts(p: int, p_max: Optional[int] = None) -> dict[tuple, int]:
+def compatible_pair_counts(p: int) -> dict[tuple, int]:
     """Number of (P, selection) pairs from which some cycle opening yields each
     tree, keyed by the tree's sorted edges, in one pass over the pairs: each
-    pair is added to every tree its cycle openings give."""
-    check_order(p, p_max)
+    pair is added to every tree its cycle openings give.  Orders up to
+    HARD_P_MAX."""
+    check_order(p, HARD_P_MAX)
     counts: dict[tuple, int] = {}
-    for matching in enumerate_matchings(p, p_max):
+    for matching in enumerate_matchings(p):
         blocks = partition_join(matching)
         cycle_pedges = [[e for e in matching if blocks.block_of[e[0] // 2] == b]
                         for b in range(len(blocks.pair_blocks))]
@@ -341,20 +320,21 @@ def compatible_pair_counts(p: int, p_max: Optional[int] = None) -> dict[tuple, i
             sharp = {_norm_edge(a // 2, b // 2) for a, b in kept if a // 2 != b // 2}
             if len(sharp) == len(kept):
                 openings.append(sharp)
-        for sel in enumerate_forest_selections(matching, connecting_only=True, p_max=p_max):
+        for sel in enumerate_forest_selections(matching, connecting_only=True):
             micro = set(sel.micro_edges)
             for tree in {tuple(sorted(s | micro)) for s in openings if not s & micro}:
                 counts[tree] = counts.get(tree, 0) + 1
     return counts
 
 
-def forest_volume(selection: ForestSelection, overlap):
+def forest_volume(selection: ForestSelection, code):
     """Integral over v in [0,1]^F of the interpolated hardcore product,
 
         prod_{{A,B} path-linked, overlapping} (1 - min_{l in path} v_l),
 
-    given the boolean overlap matrix of the intervals, shape (p, p), or a
-    stack of them, shape (..., p, p); returns a float or an array.
+    given the overlap-pattern code of the path pairs: bit k is set when the
+    intervals of selection.path_pairs[k] overlap.  An integer gives a float,
+    an integer array of codes an array of the same shape.
 
     Exact for every |F| = q.  On the simplex where the q edges are ordered by
     increasing v, the minimum along each path is the path's lowest-ranked
@@ -366,13 +346,13 @@ def forest_volume(selection: ForestSelection, overlap):
     over orderings is accumulated over the 2^q sets S, each from its subsets
     one edge smaller.
     """
-    ov = np.asarray(overlap, dtype=bool)
+    codes = np.asarray(code)[..., None]
     q = len(selection.micro_edges)
     sets = np.arange(1 << q)
-    tail = np.zeros(ov.shape[:-2] + (1 << q,)) + [int(S).bit_count() for S in sets]
-    for (i, j), edges in selection.path_pairs:
+    tail = np.zeros(codes.shape[:-1] + (1 << q,)) + [int(S).bit_count() for S in sets]
+    for k, (_, edges) in enumerate(selection.path_pairs):
         path = sum(1 << e for e in edges)
-        tail[..., (sets & path) == path] += ov[..., i, j, None]
+        tail[..., (sets & path) == path] += (codes >> k) & 1
     acc = np.empty_like(tail)
     acc[..., 0] = 1.0
     for S in range(1, 1 << q):  # every subset of S is visited before S
@@ -385,9 +365,10 @@ def verify_bkar_identity(matching, t) -> float:
     """|LHS - RHS| of the interpolation identity at a fixed time configuration.
 
     t lists the 2p times with t[2i] < t[2i+1]; intervals are closed, so
-    endpoint touching counts as overlap.
+    endpoint touching counts as overlap.  Orders up to HARD_P_MAX.
     """
     p = _validate_matching(matching)
+    check_order(p, HARD_P_MAX)
     t = np.asarray(t, dtype=float)
     if t.shape != (2 * p,):
         raise ValueError("need 2p times")
@@ -399,9 +380,10 @@ def verify_bkar_identity(matching, t) -> float:
     lhs = float(not overlap.any())
 
     rhs = 0.0
-    for sel in enumerate_forest_selections(matching, connecting_only=False, p_max=p):
+    for sel in enumerate_forest_selections(matching, connecting_only=False):
         # each selected pair must overlap (derivative factor), no same-block pair may
         if all(overlap[e] for e in sel.micro_edges) and not any(
                 overlap[e] for e in sel.block_pairs):
-            rhs += (-1.0) ** len(sel.micro_edges) * forest_volume(sel, overlap)
+            code = sum(int(overlap[e]) << k for k, (e, _) in enumerate(sel.path_pairs))
+            rhs += (-1.0) ** len(sel.micro_edges) * forest_volume(sel, code)
     return abs(lhs - rhs)

@@ -33,7 +33,7 @@ overlap patterns, filled from combinatorics.forest_volume on first use.
 
 The quadrature route (p <= 2) is exact in the times and independent of
 the sampler.  At p = 1 it is the graded Gauss-Legendre rule of
-jump_process._first_order, on every kernel mode.  At p = 2 each kernel
+Kernel.first_order, on every kernel mode.  At p = 2 each kernel
 factor is h(s) = int e^{-|s|k} dmu(k); per order of the endpoints the time
 integral is closed in the momenta, summed on Kernel.momentum_rule (which
 h tables lack).  Its tolerance is the measured change from a coarser rule.
@@ -58,7 +58,6 @@ from .combinatorics import (
     open_cycles,
 )
 from .errors import ResourceError
-from .jump_process import _first_order
 from .kernel import Kernel
 from .rng import mc_mean
 
@@ -112,12 +111,7 @@ class ClusterTerm:
     def volumes(self) -> np.ndarray:
         """Exact v-integral per overlap pattern: bit k of the index is set when
         path pair k overlaps."""
-        path_pairs = self.selection.path_pairs
-        codes = np.arange(1 << len(path_pairs))
-        ov = np.zeros((len(codes), self.p, self.p), dtype=bool)
-        for k, ((i, j), _) in enumerate(path_pairs):
-            ov[:, i, j] = ov[:, j, i] = (codes >> k) & 1
-        return forest_volume(self.selection, ov)
+        return forest_volume(self.selection, np.arange(1 << len(self.selection.path_pairs)))
 
     def weight(self, starts, ends) -> np.ndarray:
         """Interval weight of the term, for closed intervals [starts, ends] of
@@ -140,11 +134,12 @@ class ClusterTerm:
 
 
 def cluster_terms(p: int, p_max: Optional[int] = None, pin_pair: int = 0) -> list[ClusterTerm]:
-    """All connecting (matching, selection) terms of order p, canonical order."""
+    """All connecting (matching, selection) terms of order p, canonical order;
+    p beyond p_max (default DEFAULT_P_MAX, at most HARD_P_MAX) is a ResourceError."""
     check_order(p, p_max)
     out = []
-    for m in enumerate_matchings(p, p_max):
-        for sel in enumerate_forest_selections(m, connecting_only=True, p_max=p_max):
+    for m in enumerate_matchings(p):
+        for sel in enumerate_forest_selections(m, connecting_only=True):
             out.append(ClusterTerm(m, sel, pin_pair=pin_pair))
     return out
 
@@ -336,7 +331,7 @@ def integrate_term(
     if method == "quad":
         if term.p > 2:
             raise ResourceError("deterministic quadrature supported for p <= 2 only")
-        route = (partial(_first_order, kernel, horizon) if term.p == 1
+        route = (partial(kernel.first_order, horizon) if term.p == 1
                  else partial(_order_sum, kernel, term, horizon))
         n_fine, n_coarse = _QUAD_NODES[term.p]
         value, points = route(n_fine)

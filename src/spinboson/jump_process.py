@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimateUnreliableError
-from .kernel import Kernel, _panel_rule
+from .kernel import Kernel
 from .rng import mc_mean
 
 __all__ = [
@@ -66,7 +66,6 @@ _PAIR_BLOCK = 1 << 14  # boundary pairs per block of _action_chunk
 _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
-_GRADES = 50  # panels [T 2^-j-1, T 2^-j] for j < _GRADES, then [0, T 2^-_GRADES]
 
 
 @dataclass(frozen=True)
@@ -176,30 +175,10 @@ def _action_chunk(times, horizon, phi_tab, dx):
     return -2.0 * out
 
 
-def _first_order(kernel: Kernel, horizon=None, n: int = 20) -> tuple[float, int]:
-    """C_1(T) = int_0^T (T - u) e^{-2u} h(u) du, or with horizon None the
-    pinned c_1 = int_0^64 e^{-2u} h(u) du (e^{-128} < 1e-55), and the number
-    of points: composite n-point Gauss-Legendre on panels halving toward
-    u = 0, down to 2^-50 of the top, and on h tables split at the abscissae,
-    where the PCHIP is only C^1.  At n = 20 within 4.5e-16 relative of scipy
-    quad at T = 0.5, 5 and 30 on the cutoff-1 and cutoff-1000 indicators, a
-    radial table from k = 0.25 and an h table.
-    """
-    top = 64.0 if horizon is None else horizon
-    edges = np.append(top * 2.0 ** -np.arange(_GRADES + 1), 0.0)
-    if kernel.spec.mode == "h_table":
-        edges = np.concatenate([edges, kernel.spec.points[:, 0]])
-    u, w = _panel_rule(np.unique(edges[edges <= top]), n)
-    if horizon is not None:
-        w = w * (horizon - u)
-    f = w * np.exp(-2.0 * u) * kernel.h(u)
-    return math.fsum(f.tolist()), f.size
-
-
 def _mean_action(kernel: Kernel, horizon: float) -> float:
-    """Exact mean action E[A] = 2 C_1(T) (_first_order), the first-order part
-    of log Z, as E[X(t) X(s)] = e^{-2|t-s|}."""
-    return 2.0 * _first_order(kernel, horizon)[0]
+    """Exact mean action E[A] = 2 C_1(T) (Kernel.first_order), the first-order
+    part of log Z, as E[X(t) X(s)] = e^{-2|t-s|}."""
+    return 2.0 * kernel.first_order(horizon)[0]
 
 
 def estimate_Z(

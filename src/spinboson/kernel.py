@@ -30,7 +30,8 @@ Psi, the mass beyond |s| or h over the table pieces: `h` (every Monte Carlo
 layer calls it) and `psi` take one row each, `phi_dense` calls both, and
 `_parts` stacks the three rows for `quantile` and the inverse-CDF build; `phi`
 sums Ein forms; `momentum_rule` hands out the Gauss-Legendre rule for
-4 pi k w(k) dk that order-2 quadrature uses.
+4 pi k w(k) dk that order-2 quadrature uses, and `first_order` is the
+order-1 time integral, on every mode.
 Against scipy quad of the defining k-integral, at 0, 1e-300, on both sides
 of each piece's series seam and at 150 s from 1e-8 to 700/len, `h` is
 within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +65,7 @@ _BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _pieces and phi_de
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
+_U_GRADES = 50  # first_order: panels [T 2^-j-1, T 2^-j], j < _U_GRADES, then [0, T 2^-_U_GRADES]
 
 
 def _series_below_small(out, x, coefs):
@@ -319,6 +322,25 @@ class Kernel:
             ks.append(a + length * t)
             cs.append(c * wt * ks[-1] * (wa + dw * t))
         return np.concatenate(ks), np.concatenate(cs)
+
+    def first_order(self, horizon=None, n: int = 20) -> tuple[float, int]:
+        """C_1(T) = int_0^T (T - u) e^{-2u} h(u) du, or with horizon None the
+        pinned c_1 = int_0^64 e^{-2u} h(u) du (e^{-128} < 1e-55), and the number
+        of points: composite n-point Gauss-Legendre on panels halving toward
+        u = 0, down to 2^-50 of the top, and on h tables split at the abscissae,
+        where the PCHIP is only C^1.  At n = 20 within 4.5e-16 relative of scipy
+        quad at T = 0.5, 5 and 30 on the cutoff-1 and cutoff-1000 indicators, a
+        radial table from k = 0.25 and an h table.
+        """
+        top = 64.0 if horizon is None else horizon
+        edges = np.append(top * 2.0 ** -np.arange(_U_GRADES + 1), 0.0)
+        if self._pp is not None:
+            edges = np.concatenate([edges, self.spec.points[:, 0]])
+        u, w = _panel_rule(np.unique(edges[edges <= top]), n)
+        if horizon is not None:
+            w = w * (horizon - u)
+        f = w * np.exp(-2.0 * u) * self.h(u)
+        return math.fsum(f.tolist()), f.size
 
     def psi(self, s):
         """First antiderivative int_0^s h; odd in s."""

@@ -61,9 +61,11 @@ def map_batches(fn, n_batches: int, workers: int = 1) -> list:
     With workers > 1 the batches run on a thread pool (the heavy lifting
     inside a batch is vectorized numpy, which releases the GIL); results are
     reassembled by index, so the output is bit-identical to the workers == 1
-    run.
+    run.  Fewer than one worker is a ValueError.
     """
-    if workers <= 1 or n_batches == 1:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1 or n_batches == 1:
         return [fn(b) for b in range(n_batches)]
     out: list = [None] * n_batches
     with ThreadPoolExecutor(max_workers=workers) as pool:

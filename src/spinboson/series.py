@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CertificateError
 from .integrator import CoefficientEstimate, coefficient
@@ -124,13 +124,12 @@ def energy(
     seed: int = 0,
     gamma: float = DEFAULT_GAMMA,
     workers: int = 1,
-    coefficients: Optional[Sequence[CoefficientEstimate]] = None,
 ) -> SeriesResult:
     """Truncated energy series -sum_{p<=p_max} alpha^p c_p / p! with certificate.
 
     Exactly one of alpha and lam must be given (lam converts through
-    alpha = (lam/4pi)^2).  Precomputed pinned coefficients may be passed in;
-    otherwise they are computed with the requested method.
+    alpha = (lam/4pi)^2).  The pinned coefficients are computed with the
+    requested method.
     """
     if (alpha is None) == (lam is None):
         raise ValueError("give exactly one of alpha or lam")
@@ -142,18 +141,13 @@ def energy(
         ) else None
     if not cmath.isfinite(alpha):
         raise ValueError("the coupling must be finite")
-    if coefficients is None:
-        coefficients = tuple(
-            coefficient(
-                kernel, p, mode="pinned", method=method, budget=budget,
-                seed=seed, workers=workers,
-            )
-            for p in range(1, p_max + 1)
+    coefficients = tuple(
+        coefficient(
+            kernel, p, mode="pinned", method=method, budget=budget,
+            seed=seed, workers=workers,
         )
-    else:
-        coefficients = tuple(coefficients)
-        if len(coefficients) < p_max:
-            raise ValueError("need coefficients up to p_max")
+        for p in range(1, p_max + 1)
+    )
 
     value = -sum(alpha**p * coefficients[p - 1].value / math.factorial(p)
                  for p in range(1, p_max + 1))

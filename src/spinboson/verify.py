@@ -30,6 +30,8 @@ _TAG_BKAR = 8
 def lemma1(samples: int, seed: int, tuples: int = 20, workers: int = 1) -> dict:
     """Random increasing time tuples: simulated moment within 3 sigma of the
     closed form.  All tuples must pass below 10 tuples, all but two from 10 on."""
+    if tuples < 1:
+        raise ValueError("tuples must be >= 1")
     rng = stream(seed, _TAG_TUPLES)
     reports = []
     passes = 0
@@ -68,8 +70,11 @@ def bkar(p: int, trials: int, seed: int) -> dict:
     or two blocks and few selections.  At p = 2 the two analytic cases
     (disjoint, overlapping) must come out exact.
     """
+    comb.check_order(p, comb.HARD_P_MAX)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = stream(seed, _TAG_BKAR, p)
-    matchings = list(comb.enumerate_matchings(p, p_max=p))
+    matchings = list(comb.enumerate_matchings(p))
     base = comb.base_matching(p)
     residuals = []
     for trial in range(trials):
@@ -150,14 +155,13 @@ def resummation(kernel: Kernel, horizons, budget: int, seed: int, workers: int =
 def census(p: int) -> dict:
     """Matchings, connecting (matching, selection) pairs and labeled spanning
     trees of order p, with the most (matching, selection) pairs any one tree
-    is compatible with."""
-    p_max = max(p, comb.DEFAULT_P_MAX)
+    is compatible with.  compatible_pair_counts checks the order cap."""
+    compatible = comb.compatible_pair_counts(p)
     connecting = sum(
         1
-        for m in comb.enumerate_matchings(p, p_max)
-        for _ in comb.enumerate_forest_selections(m, connecting_only=True, p_max=p_max)
+        for m in comb.enumerate_matchings(p)
+        for _ in comb.enumerate_forest_selections(m, connecting_only=True)
     )
-    compatible = comb.compatible_pair_counts(p, p_max)
     per_tree = [compatible.get(t, 0) for t in comb.spanning_trees(p)]
     return {
         "p": p,
@@ -168,38 +172,56 @@ def census(p: int) -> dict:
     }
 
 
+def _steps_follow_tree(matching, selection, opened) -> bool:
+    """Whether the p - 1 steps of a cycle opening follow the opened P-edges
+    and the selected micro edges once each: an overlap step along a micro
+    edge, an h step along a P-edge from its point in the parent pair to its
+    point in the child pair."""
+    steps = opened.steps
+    want = sorted([("h", e) for e in matching if e not in opened.deleted_edges]
+                  + [("overlap", e) for e in selection.micro_edges])
+    got = sorted((kind, tuple(sorted((cpt, ppt) if kind == "h" else (child, parent))))
+                 for child, parent, kind, cpt, ppt in steps)
+    return len(steps) == len(matching) - 1 and got == want and all(
+        cpt // 2 == child and ppt // 2 == parent
+        for child, parent, kind, cpt, ppt in steps if kind == "h")
+
+
 def counts(p: int = 4) -> dict:
     """Census checks at orders 1..p: matching counts, every P-edge closing
     inside one block (key "even_cycle_supports"), connecting selections are
-    exactly those whose cycle opening is a tree, offspring counts of those
-    trees, fewer than 4^q compatible pairs per tree, and the labeled-tree
-    degree census (orders 2..6) against Cayley's formula."""
+    exactly those whose cycle opening is a tree, the steps of each opening
+    following its opened P-edges and selected micro edges once each, each
+    from its parent pair to its child pair (key "offspring_counts"), fewer
+    than 4^q compatible pairs per tree, and the labeled-tree degree census
+    (orders 2..6) against Cayley's formula."""
+    comb.check_order(p, comb.HARD_P_MAX)
     checks = {}
     checks["matching_counts"] = all(
-        comb.matching_count(q) == len(list(comb.enumerate_matchings(q, p_max=p)))
+        comb.matching_count(q) == len(list(comb.enumerate_matchings(q)))
         for q in range(1, p + 1)
     )
 
     ok_closed = True
     ok_consistency = True
-    ok_offspring = True
+    ok_steps = True
     for q in range(1, p + 1):
-        for m in comb.enumerate_matchings(q, p_max=p):
+        for m in comb.enumerate_matchings(q):
             block_of = comb.partition_join(m).block_of
             ok_closed &= all(block_of[a // 2] == block_of[b // 2] for a, b in m)
             spanning = []
-            for s in comb.enumerate_forest_selections(m, p_max=p):
+            for s in comb.enumerate_forest_selections(m):
                 try:
                     opened = comb.open_cycles(m, s)
                 except StructureError:
                     continue
                 spanning.append(s.micro_edges)
-                ok_offspring &= sum(opened.offspring) == len(s.micro_edges) <= max(q - 1, 0)
-            conn = comb.enumerate_forest_selections(m, connecting_only=True, p_max=p)
+                ok_steps &= _steps_follow_tree(m, s, opened)
+            conn = comb.enumerate_forest_selections(m, connecting_only=True)
             ok_consistency &= sorted(s.micro_edges for s in conn) == sorted(spanning)
     checks["even_cycle_supports"] = ok_closed
     checks["connecting_enumeration_consistent"] = ok_consistency
-    checks["offspring_counts"] = ok_offspring
+    checks["offspring_counts"] = ok_steps
 
     ok_tree = True
     per_tree_max = 0

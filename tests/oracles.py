@@ -30,6 +30,12 @@ def overlap_matrix(starts, ends):
     return (s1 <= e2) & (s2 <= e1)
 
 
+def overlap_code(selection: ForestSelection, overlap) -> int:
+    """Overlap-pattern code of the path pairs read from an overlap matrix:
+    bit k is set when selection.path_pairs[k] overlaps."""
+    return sum(int(overlap[i][j]) << k for k, ((i, j), _) in enumerate(selection.path_pairs))
+
+
 def interpolated_coupling(selection: ForestSelection, v, pair) -> float:
     """The coupling r(F, v) for a base-pair pair not in the selection."""
     i, j = _norm_edge(*pair)

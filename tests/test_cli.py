@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -252,6 +253,22 @@ def test_verify_bkar_integrates_many_selections(monkeypatch):
     assert len(calls) >= 40
 
 
+def test_verify_counts_fails_on_h_steps_with_swapped_points(monkeypatch):
+    # an opening whose h steps leave from the child's point must fail the step check
+    real = comb.open_cycles
+
+    def swapped(matching, selection, root_pair=0):
+        opened = real(matching, selection, root_pair)
+        steps = tuple((c, par, kind, ppt, cpt) if kind == "h" else (c, par, kind, cpt, ppt)
+                      for c, par, kind, cpt, ppt in opened.steps)
+        return dataclasses.replace(opened, steps=steps)
+
+    monkeypatch.setattr(comb, "open_cycles", swapped)
+    doc = verify.counts(3)
+    assert doc["checks"]["offspring_counts"] is False
+    assert doc["passed"] is False
+
+
 def test_verify_library_matches_cli(kernel_cfg):
     kernel = build_kernel(KernelSpec.from_json(kernel_cfg))
     doc = verify.resummation(kernel, [2.0], 4000, 7)
@@ -304,9 +321,15 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
     (["energy", "--pmax", "1", "--method", "quad", "--alpha", "nan"], "coupling must be finite"),
     (["energy", "--pmax", "1", "--method", "quad", "--alpha", "inf"], "coupling must be finite"),
     (["energy", "--pmax", "1", "--method", "quad", "--lambda", "nan"], "coupling must be finite"),
+    (["coefficient", "--p", "2", "--budget", "100", "--seed", "1", "--workers", "-3"], "workers"),
+    (["verify", "lemma1", "--seed", "1", "--tuples", "0"], "tuples must be"),
+    (["verify", "bkar", "--p", "3", "--seed", "1", "--trials", "0"], "trials must be"),
+    (["verify", "counts", "--p", "0"], "order p must be"),
+    (["counts", "--p", "7"], "beyond the cap"),
 ])
-def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys):
-    code, out = run_cli(argv + ["--kernel", kernel_cfg])
+def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkeypatch):
+    monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)  # not every subcommand takes --kernel
+    code, out = run_cli(argv)
     assert code == 2 and out == ""
     assert message in capsys.readouterr().err
 

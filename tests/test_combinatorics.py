@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
+from spinboson import combinatorics, integrator, verify
 from spinboson.combinatorics import (
     ForestSelection,
     base_matching,
+    check_order,
     compatible_pair_counts,
     degree_census,
     enumerate_forest_selections,
@@ -22,9 +24,10 @@ from spinboson.combinatorics import (
     verify_bkar_identity,
 )
 from spinboson.errors import ResourceError, StructureError
+from spinboson.integrator import cluster_terms
 from spinboson.rng import stream
 
-from oracles import interpolated_coupling
+from oracles import interpolated_coupling, overlap_code
 
 CROSS_A = ((0, 2), (1, 3))  # a cross matching of 4 points
 
@@ -42,13 +45,35 @@ def test_matching_count_formula():
         assert matching_count(p) == math.factorial(2 * p) // (2**p * math.factorial(p))
 
 
-def test_enumerate_matchings_resource_guard():
+def test_order_cap_resource_guard():
     with pytest.raises(ResourceError):
-        list(enumerate_matchings(5))
+        cluster_terms(5)
     with pytest.raises(ResourceError):
-        list(enumerate_matchings(7, p_max=7))
+        cluster_terms(7, p_max=7)
+    with pytest.raises(ResourceError):
+        verify.census(7)
+    with pytest.raises(ResourceError):
+        verify_bkar_identity(base_matching(7), np.arange(14.0))
     with pytest.warns(ResourceWarning):
-        assert len(list(enumerate_matchings(5, p_max=5))) == 945
+        assert len(cluster_terms(5, p_max=5)) == 5829
+
+
+def test_order_cap_checked_once_per_entry_point(monkeypatch):
+    # the lazy enumerators check nothing; cluster_terms checks once, and
+    # counts once plus once per census order
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_order(*args)
+
+    monkeypatch.setattr(combinatorics, "check_order", counting)
+    monkeypatch.setattr(integrator, "check_order", counting)
+    cluster_terms(4)
+    assert len(calls) == 1
+    calls.clear()
+    verify.counts(4)
+    assert len(calls) == 5
 
 
 def test_partition_join_base_matching_gives_singletons():
@@ -182,7 +207,6 @@ def test_open_cycles_p1():
     sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
     opened = open_cycles(m, sel)
     assert opened.steps == ()
-    assert opened.offspring == (0,)
 
 
 def test_open_cycles_p2_base():
@@ -190,7 +214,6 @@ def test_open_cycles_p2_base():
     sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
     opened = open_cycles(m, sel)
     assert opened.steps == ((1, 0, "overlap", None, None),)
-    assert opened.offspring == (1, 0)
     assert set(opened.deleted_edges) == set(m)
 
 
@@ -203,7 +226,7 @@ def test_open_cycles_counts_random(random_matching):
         sel = next(iter(enumerate_forest_selections(m, connecting_only=True)))
         opened = open_cycles(m, sel)
         assert len(opened.deleted_edges) == len(blocks.pair_blocks)
-        assert sum(opened.offspring) == len(sel.micro_edges)
+        assert sum(kind == "overlap" for _, _, kind, _, _ in opened.steps) == len(sel.micro_edges)
         assert len(sel.micro_edges) <= p - 1
         assert len(opened.steps) == p - 1
 
@@ -330,9 +353,9 @@ def test_forest_volume_two_edge_path():
         s for s in enumerate_forest_selections(m)
         if sorted(s.micro_edges) == [(0, 1), (1, 2)]
     ][0]
-    # only the long pair (0, 2) overlaps: integral of 1 - min(v1, v2) is 2/3
-    overlap = [[False, False, True], [False, False, False], [True, False, False]]
-    assert forest_volume(sel, overlap) == pytest.approx(2 / 3, rel=1e-12)
+    # only the long pair (0, 2), path pair 0, overlaps: integral of 1 - min(v1, v2) is 2/3
+    assert sel.path_pairs[0][0] == (0, 2)
+    assert forest_volume(sel, 1) == pytest.approx(2 / 3, rel=1e-12)
 
 
 def _closed_form_volume(sel, overlap):
@@ -374,7 +397,6 @@ def _sobol_volume(sel, overlap):
     return float(prod.mean())
 
 
-@pytest.mark.filterwarnings("ignore::ResourceWarning")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.randoms(use_true_random=False))
 def test_forest_volume_properties(rnd):
@@ -384,14 +406,14 @@ def test_forest_volume_properties(rnd):
     if rnd.random() < 0.5:
         m = base_matching(p)
     else:
-        m = rnd.choice(list(enumerate_matchings(p, p_max=p)))
-    sels = list(enumerate_forest_selections(m, p_max=p))
+        m = rnd.choice(list(enumerate_matchings(p)))
+    sels = list(enumerate_forest_selections(m))
     # largest first, as draws favour early elements; |F| = 0 gives 1
     q = rnd.choice(sorted({len(s.micro_edges) for s in sels} - {0}, reverse=True) or [0])
     sel = rnd.choice([s for s in sels if len(s.micro_edges) == q])
     upper = np.triu(np.array([rnd.random() < 0.5 for _ in range(p * p)]).reshape(p, p), 1)
     overlap = upper | upper.T
-    vol = forest_volume(sel, overlap)
+    vol = forest_volume(sel, overlap_code(sel, overlap))
     assert 0.0 <= vol <= 1.0
     assert abs(vol - _sobol_volume(sel, overlap)) < 5e-3
     if q <= 2:

@@ -21,6 +21,7 @@ from spinboson.rng import stream
 from oracles import (
     interpolated_coupling,
     mc_chunk,
+    overlap_code,
     overlap_matrix,
     raw_series_coefficient,
     raw_series_draw,
@@ -357,7 +358,8 @@ def test_exact_v_integrand_uses_forest_volume(indicator_kernel):
         got = term_integrand(indicator_kernel, term, t)
         rest = term_integrand(indicator_kernel, term, t, v=np.zeros((16, term.q)))
         ov = overlap_matrix(starts, starts + lengths)
-        want = [r * forest_volume(term.selection, o) for r, o in zip(rest, ov)]
+        want = [r * forest_volume(term.selection, overlap_code(term.selection, o))
+                for r, o in zip(rest, ov)]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
         assert term_integrand(indicator_kernel, term, t[3]) == got[3]
 

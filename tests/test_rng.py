@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinboson.rng import batch_layout, batch_mean, mc_mean, stream
+from spinboson.rng import batch_layout, batch_mean, map_batches, mc_mean, stream
 
 
 def per_sample(rng, n):
@@ -88,3 +89,9 @@ def test_batch_means_error_is_honest_for_a_shared_group_stream():
     # 35% is 3.5 sds
     assert abs(means.var(ddof=1) / want - 1.0) < 0.35
     assert abs(means.var(ddof=1) / se2.mean() - 1.0) < 0.35
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_map_batches_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers"):
+        map_batches(lambda b: b, 4, workers)

@@ -98,24 +98,20 @@ def test_energy_negative_at_small_positive_alpha(indicator_kernel):
     assert res.certified and res.tail_bound is not None
     # leading order dominates: the p_max = 1 truncation differs from the
     # 2-term series by less than its own tail certificate
-    res1 = energy(indicator_kernel, alpha=alpha, p_max=1,
-                  coefficients=res.coefficients[:1])
+    res1 = energy(indicator_kernel, alpha=alpha, p_max=1, method="quad")
     assert abs(res.energy - res1.energy) <= res1.tail_bound
 
 
 def test_energy_from_lambda_matches_alpha_route(indicator_kernel):
-    c = [coefficient(indicator_kernel, p, method="quad") for p in (1, 2)]
     lam = 0.05
-    via_lam = energy(indicator_kernel, lam=lam, p_max=2, coefficients=c)
-    via_alpha = energy(indicator_kernel, alpha=alpha_from_lambda(lam), p_max=2,
-                       coefficients=c)
+    via_lam = energy(indicator_kernel, lam=lam, p_max=2, method="quad")
+    via_alpha = energy(indicator_kernel, alpha=alpha_from_lambda(lam), p_max=2, method="quad")
     assert via_lam.energy == via_alpha.energy
     assert via_lam.alpha == pytest.approx(via_alpha.alpha, rel=1e-15)
 
 
 def test_energy_uncertified_outside_radius(indicator_kernel):
-    c = [coefficient(indicator_kernel, 1, method="quad")]
-    res = energy(indicator_kernel, alpha=1.0, p_max=1, coefficients=c)
+    res = energy(indicator_kernel, alpha=1.0, p_max=1, method="quad")
     assert not res.certified
     assert res.tail_bound is None
     assert res.warning is not None
@@ -123,7 +119,7 @@ def test_energy_uncertified_outside_radius(indicator_kernel):
 
 def test_energy_accepts_complex_alpha(indicator_kernel):
     c = [coefficient(indicator_kernel, 1, method="quad")]
-    res = energy(indicator_kernel, alpha=1e-4 + 1e-5j, p_max=1, coefficients=c)
+    res = energy(indicator_kernel, alpha=1e-4 + 1e-5j, p_max=1, method="quad")
     want = -(1e-4 + 1e-5j) * c[0].value
     assert res.energy == pytest.approx(want, rel=1e-12)
 
@@ -166,6 +162,5 @@ def test_energy_requires_one_coupling(indicator_kernel):
     {"lam": math.nan}, {"lam": math.inf},
 ])
 def test_energy_rejects_a_coupling_that_is_not_finite(indicator_kernel, coupling):
-    c = [coefficient(indicator_kernel, 1, method="quad")]
     with pytest.raises(ValueError, match="coupling must be finite"):
-        energy(indicator_kernel, p_max=1, coefficients=c, **coupling)
+        energy(indicator_kernel, p_max=1, method="quad", **coupling)
