@@ -81,7 +81,7 @@ def check_order(p: int, p_max: Optional[int] = None) -> None:
             f"order p={p} beyond the cap {limit}; enumeration grows factorially"
         )
     if p > DEFAULT_P_MAX:
-        warnings.warn(f"order p={p}: enumeration sizes grow factorially", ResourceWarning)
+        warnings.warn(f"order p={p}: enumeration sizes grow factorially", UserWarning)
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:

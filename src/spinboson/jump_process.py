@@ -23,8 +23,9 @@ with sigma the segment signs (0 outside [0,T]); this is exact per path, so
 the only Monte Carlo noise is over paths.  As Phi is even with Phi(0) = 0,
 the estimators sum -2 w_k w_l Phi(x_l - x_k) over each path's own k < l
 boundary pairs, M(M-1)/2 of them for M boundaries: grouped by M, which fixes
-the pairs and weights, and added sequentially per path in blocks of bounded
-size, so no path is padded to the longest one in its call.  Estimators
+the pairs and weights, in bounded blocks with pairs as rows and paths as
+columns, so one sequential column reduction adds each path in pair order
+and no path is padded to the longest one in its call.  Estimators
 run on rng.mc_mean: each fixed group of batches draws from its own
 counter-keyed stream and batches reduce in fixed order, which makes them
 bit-reproducible for any worker count.
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 _CHUNK = 1024
-_PAIR_BLOCK = 1 << 14  # boundary pairs per block of _action_chunk
+_PAIR_BLOCK = 1 << 14  # pairs x paths per block of _action_chunk; bounds its buffers
 _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
@@ -148,30 +149,39 @@ def _action_chunk(times, horizon, phi_tab, dx):
     boundary pairs, with Phi linearly interpolated in phi_tab.
 
     Paths with M boundaries share the first M(M-1)/2 pairs of one l-major
-    (k, l) table and the weights w_k w_l (even in the sign), so each such
-    group is summed in blocks of about _PAIR_BLOCK pairs (one path when it
-    alone has more), each path in pair order by np.cumsum (np.sum adds
-    pairwise): a path's action does not depend on the other paths in the
-    call, and memory is O(n m + _PAIR_BLOCK), not O(n m^2).
+    (k, l) table and the weights w_k w_l (even in the sign), so each group
+    is summed in blocks of about _PAIR_BLOCK pairs x paths (one path when it
+    alone has more), pairs as rows.  np.add.reduce(axis=0) adds the rows in
+    order, so each path's pairs in order; a lone column it would add pairwise,
+    so a one-path block keeps np.cumsum.  Memory is O(n m + _PAIR_BLOCK).
     """
     counts = (times < horizon).sum(axis=1)
     order = np.argsort(counts, kind="stable")
     ms, starts = np.unique(counts[order], return_index=True)
     weights = _boundary_weights(np.ones(len(ms)), ms, int(ms[-1]) + 2)
     l_idx, k_idx = np.tril_indices(int(ms[-1]) + 2, -1)  # (1, 0), (2, 0), (2, 1), ...
-    out = np.empty(len(counts))
+    out, size = np.empty(len(counts)), max(_PAIR_BLOCK, len(k_idx))
+    buf, buf_i = np.empty((3, size)), np.empty(size, np.int64)  # shared by all blocks
     for m, a, group in zip(ms.tolist(), weights, np.split(order, starts[1:])):
         k, l = k_idx[: (m + 2) * (m + 1) // 2], l_idx[: (m + 2) * (m + 1) // 2]
-        c, step = a[k] * a[l], max(1, _PAIR_BLOCK // len(k))
+        c, step = (a[k] * a[l])[:, None], max(1, _PAIR_BLOCK // len(k))
         for start in range(0, len(group), step):
             rows = group[start : start + step]
-            x = np.empty((len(rows), m + 2))
-            x[:, 0], x[:, 1:-1], x[:, -1] = 0.0, times[rows, :m], horizon
-            pos = (x[:, l] - x[:, k]) / dx
-            i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
-            frac = pos - i0
-            phi = phi_tab[i0] * (1.0 - frac) + phi_tab[1:][i0] * frac
-            out[rows] = np.cumsum(phi * c, axis=1)[:, -1]
+            xt = np.empty((m + 2, len(rows)))
+            xt[0], xt[1:-1], xt[-1] = 0.0, times[rows, :m].T, horizon
+            pos, frac, phi = buf[:, : len(k) * len(rows)].reshape(3, len(k), len(rows))
+            i0 = buf_i[: pos.size].reshape(pos.shape)
+            np.take(xt, l, axis=0, out=pos, mode="clip")
+            pos -= np.take(xt, k, axis=0, out=frac, mode="clip")
+            pos /= dx
+            np.copyto(i0, pos, casting="unsafe")
+            np.minimum(i0, len(phi_tab) - 2, out=i0)
+            np.subtract(pos, i0, out=frac)
+            np.take(phi_tab, i0, out=phi, mode="clip")
+            phi *= np.subtract(1.0, frac, out=pos)
+            phi += np.multiply(np.take(phi_tab[1:], i0, out=pos, mode="clip"), frac, out=pos)
+            phi *= c
+            out[rows] = np.add.reduce(phi, axis=0) if len(rows) > 1 else np.cumsum(phi)[-1]
     return -2.0 * out
 
 

@@ -54,7 +54,7 @@ def test_order_cap_resource_guard():
         verify.census(7)
     with pytest.raises(ResourceError):
         verify_bkar_identity(base_matching(7), np.arange(14.0))
-    with pytest.warns(ResourceWarning):
+    with pytest.warns(UserWarning):
         assert len(cluster_terms(5, p_max=5)) == 5829
 
 
@@ -333,7 +333,7 @@ def test_bkar_identity_rejects_bad_intervals():
         verify_bkar_identity(base_matching(2), [1.0, 0.5, 2.0, 3.0])
 
 
-@pytest.mark.filterwarnings("ignore::ResourceWarning")
+@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_bkar_identity_exact_p4_to_p6():
     # sparse overlaps on the base matching give the most contributing selections
     rng = stream(80, 0)

@@ -351,6 +351,28 @@ def test_action_chunk_path_longer_than_a_block(indicator_kernel):
         assert _action_chunk(times[i : i + 1], horizon, phi_tab, dx)[0] == got[i]
 
 
+def test_action_chunk_groups_of_one_two_three_and_a_short_last_block(indicator_kernel):
+    # a block holds pairs as rows and paths as columns, and its column sums
+    # are added in row order only from two columns on: groups of 1, 2 and 3
+    # paths, and one that fills a block and part of a second, must all give
+    # each path's sequential pair-order sum
+    horizon = 30.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    rng = stream(44, 0)
+    step = _PAIR_BLOCK // (32 * 31 // 2)  # paths per block at 30 jumps
+    sizes = {7: 1, 12: 2, 25: 3, 30: step + 5}
+    jumps = [np.sort(rng.uniform(0.0, horizon, m)) for m, n in sizes.items() for _ in range(n)]
+    times = horizon + 1.0 + np.tile(np.arange(31.0), (len(jumps), 1))
+    for i, j in enumerate(rng.permutation(len(jumps))):
+        times[i, : len(jumps[j])] = jumps[j]
+    signs = rng.integers(0, 2, size=len(jumps)) * 2.0 - 1.0
+    counts = (times < horizon).sum(axis=1)
+    assert sorted(np.unique(counts, return_counts=True)[1].tolist()) == [1, 2, 3, step + 5]
+    got = _action_chunk(times, horizon, phi_tab, dx)
+    for i in range(len(jumps)):
+        assert got[i] == _sequential_action(signs[i], times[i, : counts[i]], horizon, phi_tab, dx)
+
+
 def test_action_chunk_memory_is_not_quadratic(indicator_kernel):
     import tracemalloc
 
