@@ -171,7 +171,7 @@ def _action_chunk(times, horizon, phi_tab, dx):
             xt[0], xt[1:-1], xt[-1] = 0.0, times[rows, :m].T, horizon
             pos, frac, phi = buf[:, : len(k) * len(rows)].reshape(3, len(k), len(rows))
             i0 = buf_i[: pos.size].reshape(pos.shape)
-            np.take(xt, l, axis=0, out=pos, mode="clip")
+            np.take(xt, l, axis=0, out=pos, mode="clip")  # mode="raise" would buffer out
             pos -= np.take(xt, k, axis=0, out=frac, mode="clip")
             pos /= dx
             np.copyto(i0, pos, casting="unsafe")
