@@ -24,19 +24,11 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
-import numpy as np
-
 from . import integrator, jump_process, series, verify
-from .errors import (
-    CertificateError,
-    ConfigError,
-    EstimateUnreliableError,
-    ResourceError,
-    SamplingError,
-    StructureError,
-)
+from .errors import ConfigError, EstimateUnreliableError, SamplingError
 from .kernel import KernelSpec, build_kernel
 
 KERNEL_ENV = "SPINBOSON_KERNEL"
@@ -54,12 +46,6 @@ def _load_kernel(args):
 def _jsonable(x):
     if isinstance(x, float):
         return None if not math.isfinite(x) else x
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.floating, np.integer)):
-        return _jsonable(float(x))
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -296,9 +282,14 @@ def main(argv=None) -> int:
         print("error: --seed is required for stochastic runs", file=sys.stderr)
         return 2
     try:
-        doc, code = _HANDLERS[args.command](args)
-    except (ConfigError, ResourceError, CertificateError,
-            StructureError, SamplingError, FileNotFoundError, ValueError) as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                doc, code = _HANDLERS[args.command](args)
+            finally:  # each distinct warning once, as its message alone
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
+    except (ValueError, SamplingError, FileNotFoundError) as exc:  # ConfigError & co. too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EstimateUnreliableError as exc:

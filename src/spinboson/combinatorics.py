@@ -334,7 +334,7 @@ def forest_volume(selection: ForestSelection, code):
 
     given the overlap-pattern code of the path pairs: bit k is set when the
     intervals of selection.path_pairs[k] overlap.  An integer gives a float,
-    an integer array of codes an array of the same shape.
+    an integer array of codes an owned array of the same shape.
 
     Exact for every |F| = q.  On the simplex where the q edges are ordered by
     increasing v, the minimum along each path is the path's lowest-ranked
@@ -358,7 +358,7 @@ def forest_volume(selection: ForestSelection, code):
     for S in range(1, 1 << q):  # every subset of S is visited before S
         acc[..., S] = sum(acc[..., S ^ (1 << e)] for e in range(q) if S >> e & 1) / tail[..., S]
     out = acc[..., -1]
-    return float(out) if out.ndim == 0 else out
+    return float(out) if out.ndim == 0 else out.copy()  # a view would keep all of acc
 
 
 def verify_bkar_identity(matching, t) -> float:

@@ -365,9 +365,9 @@ def coefficient(
 ):
     """Connected coefficient of order p: sum of all connecting cluster terms.
 
-    budget is the Monte Carlo sample count per term (default 200000); for
-    the quadrature method it optionally caps the points the rule evaluates
-    per term, flagging the estimate when the rule needs more.  The
+    budget is the Monte Carlo sample count per term (default 200000).  The
+    quadrature rule has a fixed size; a budget below the points it evaluates
+    for a term only flags the estimate "evaluation budget exceeded".  The
     quadrature tolerance of a term is the measured difference between the
     rule and a coarser one.  Statistical errors combine in quadrature;
     deterministic tolerances add.

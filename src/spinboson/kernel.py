@@ -7,13 +7,13 @@ squared form factor w(k) = |f(k)|^2:
     h(s) = 4*pi * int_0^inf k * w(k) * exp(-|s| k) dk
 
 so h is even, nonnegative, completely monotone in |s|, and maximal at 0.
-Three ways to specify it:
+Two modes specify it (an indicator, w(k) = 1{k <= cutoff}, is parsed into its
+one-piece radial_table [[0, 1], [cutoff, 1]], so spec.mode reads radial_table):
 
   * radial_table: w sampled at increasing k, interpolated linearly, 0 outside;
                   on each piece w = alpha + beta*k, and h, Psi, Phi and the norms
                   are exact: exp/expm1 polynomials, Ein(x) = gamma + ln x + E1(x)
                   (A&S 5.1) for the alpha/k part of Phi, summed over the pieces
-  * indicator:    w(k) = 1{k <= cutoff}, the one-piece table [[0, 1], [cutoff, 1]]
   * h_table:      h itself sampled at increasing s >= 0, 0 from the last s on,
                   interpolated by a monotone PCHIP with exact antiderivatives
 
@@ -44,7 +44,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -95,12 +94,14 @@ class KernelSpec:
     """Declarative kernel description; validated on construction of a Kernel."""
 
     mode: str
-    cutoff: Optional[float] = None
-    points: Optional[np.ndarray] = None
+    points: np.ndarray
 
     @staticmethod
     def indicator(cutoff: float) -> "KernelSpec":
-        return KernelSpec(mode="indicator", cutoff=float(cutoff))
+        c = float(cutoff)
+        if not np.isfinite(c) or c <= 0:
+            raise ConfigError("indicator cutoff must be finite and > 0")
+        return KernelSpec.radial_table([[0.0, 1.0], [c, 1.0]])
 
     @staticmethod
     def radial_table(points) -> "KernelSpec":
@@ -118,8 +119,12 @@ class KernelSpec:
         try:
             if mode == "indicator":
                 return KernelSpec.indicator(doc["cutoff"])
-            if mode in ("radial_table", "h_table"):
-                return KernelSpec(mode=mode, points=np.asarray(doc["points"], dtype=float))
+            if mode == "radial_table":
+                return KernelSpec.radial_table(doc["points"])
+            if mode == "h_table":
+                return KernelSpec.h_table(doc["points"])
+        except ConfigError:  # the indicator's own check, already worded
+            raise
         except KeyError as exc:
             raise ConfigError(f"{mode} kernel needs {exc}") from exc
         except (TypeError, ValueError) as exc:  # a null, an object or a ragged table
@@ -132,15 +137,10 @@ class KernelSpec:
             return KernelSpec.from_dict(json.load(f))
 
     def validate(self) -> None:
-        if self.mode == "indicator":
-            c = self.cutoff
-            if c is None or not np.isfinite(c) or c <= 0:
-                raise ConfigError("indicator cutoff must be finite and > 0")
-            return
         if self.mode not in ("radial_table", "h_table"):
             raise ConfigError(f"unknown kernel mode {self.mode!r}")
         pts = self.points
-        if pts is None or pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ConfigError("table kernels need an (n>=2, 2) points array")
         if not np.all(np.isfinite(pts)):
             raise ConfigError("table entries must be finite")
@@ -194,9 +194,7 @@ class Kernel:
                 nodes = np.union1d(nodes, 0.5 * (nodes[:-1] + nodes[1:])[split])
         else:
             self._pp = None
-            pts = (np.array([[0.0, 1.0], [spec.cutoff, 1.0]]) if spec.mode == "indicator"
-                   else spec.points)
-            k, w = pts[:, 0], pts[:, 1]
+            k, w = spec.points[:, 0], spec.points[:, 1]
             self._k, self._a, self._len = k, k[:-1], np.diff(k)
             wa, dw, c = w[:-1], np.diff(w), 4.0 * np.pi * self._len
             # k = a + len*t, w = wa + dw*t on a piece: at y = s*len its rows

@@ -59,19 +59,16 @@ def map_batches(fn, n_batches: int, workers: int = 1) -> list:
     """Evaluate fn(batch_index) for all batches, in deterministic index order.
 
     With workers > 1 the batches run on a thread pool (the heavy lifting
-    inside a batch is vectorized numpy, which releases the GIL); results are
-    reassembled by index, so the output is bit-identical to the workers == 1
-    run.  Fewer than one worker is a ValueError.
+    inside a batch is vectorized numpy, which releases the GIL); the pool
+    yields results in index order, so the output is bit-identical to the
+    workers == 1 run.  Fewer than one worker is a ValueError.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1 or n_batches == 1:
         return [fn(b) for b in range(n_batches)]
-    out: list = [None] * n_batches
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for b, result in zip(range(n_batches), pool.map(fn, range(n_batches))):
-            out[b] = result
-    return out
+        return list(pool.map(fn, range(n_batches)))
 
 
 def batch_mean(batch_sums, batch_sizes) -> tuple[float, float]:

@@ -129,7 +129,7 @@ def energy(
 
     Exactly one of alpha and lam must be given (lam converts through
     alpha = (lam/4pi)^2).  The pinned coefficients are computed with the
-    requested method.
+    requested method, order p on its own streams, from seed + p - 1.
     """
     if (alpha is None) == (lam is None):
         raise ValueError("give exactly one of alpha or lam")
@@ -144,7 +144,7 @@ def energy(
     coefficients = tuple(
         coefficient(
             kernel, p, mode="pinned", method=method, budget=budget,
-            seed=seed, workers=workers,
+            seed=seed + p - 1, workers=workers,
         )
         for p in range(1, p_max + 1)
     )

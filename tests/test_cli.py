@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -118,6 +119,19 @@ def test_counts(kernel_cfg):
     assert doc == {
         "p": 2, "matchings": 3, "connecting_pairs": 3, "per_tree_max": 3, "trees": 1,
     }
+
+
+def test_order_warning_prints_the_message_alone(capsys):
+    # raised once already under the default filters, which then show it no more
+    # from that line; the CLI still prints it, as one bare line
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        comb.check_order(5, 5)
+        for argv in (["counts", "--p", "5"], ["verify", "counts", "--p", "5"]):
+            capsys.readouterr()
+            assert run_cli(argv)[0] == 0
+            assert capsys.readouterr().err == (
+                "warning: order p=5: enumeration sizes grow factorially\n")
 
 
 def test_verify_counts_small():

@@ -358,6 +358,14 @@ def test_forest_volume_two_edge_path():
     assert forest_volume(sel, 1) == pytest.approx(2 / 3, rel=1e-12)
 
 
+def test_volume_tables_own_their_memory():
+    # a view of forest_volume's work array would keep all 2^k x 2^q of it
+    # alive in every cached term
+    for p in range(1, 5):
+        for term in cluster_terms(p):
+            assert term.volumes.base is None
+
+
 def _closed_form_volume(sel, overlap):
     """Reference for |F| <= 2 from overlap counts.  One selected edge carrying m
     overlapping couplings gives 1/(m+1).  Two edges with a overlapping

@@ -184,8 +184,7 @@ def test_mean_action_matches_quad(mean_action_kernels, name, horizon):
         return
     # on the form-factor modes, the closed form in the momentum:
     # C_1(T) = int dmu(k) [T/(2+k) - (1 - e^{-(2+k)T})/(2+k)^2], dmu = 4 pi k w(k) dk
-    pts = (np.array([[0.0, 1.0], [kernel.spec.cutoff, 1.0]]) if kernel.spec.mode == "indicator"
-           else kernel.spec.points)
+    pts = kernel.spec.points
 
     def g(k):
         lam = 2.0 + k

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinboson import rng
 from spinboson.errors import CertificateError
 from spinboson.integrator import coefficient
 from spinboson.kernel import KernelSpec, build_kernel
@@ -32,6 +33,21 @@ def test_radius_scales_inversely_with_kernel(table_kernel):
     pts = np.asarray(table_kernel.spec.points).copy()
     scaled = build_kernel(KernelSpec.h_table(np.column_stack([pts[:, 0], 3.0 * pts[:, 1]])))
     assert radius_bound(scaled) == pytest.approx(radius_bound(table_kernel) / 3.0, rel=1e-9)
+
+
+def test_energy_orders_draw_from_distinct_streams(indicator_kernel, monkeypatch):
+    # every order numbers its terms from 0, so one seed for all orders would
+    # hand term i of each order the same stream, yet their variances are added
+    keys, stream = [], rng.stream
+
+    def recording(seed, *key):
+        keys.append((seed, *key))
+        return stream(seed, *key)
+
+    monkeypatch.setattr(rng, "stream", recording)
+    energy(indicator_kernel, alpha=1e-4, p_max=3, method="mc", budget=50, seed=7)
+    assert len(keys) == 27
+    assert len(set(keys)) == len(keys)
 
 
 def test_zero_kernel_radius_unbounded(zero_kernel):

@@ -3,8 +3,9 @@
 Every name in a module's `__all__` and every public method of a public class
 in `src/spinboson` must be used somewhere in `src/spinboson` or `bench/`:
 loaded as a name, read as an attribute, imported, or (in `bench/` only, where
-kernel methods are looked up with `getattr`) written as a string.  Tests do
-not count.  A name that only tests call is kept only as a named oracle below.
+kernel methods are looked up with `getattr`) written as a string that names a
+public `Kernel` method.  Tests do not count.  A name that only tests call is
+kept only as a named oracle below.
 """
 
 import ast
@@ -26,7 +27,15 @@ def _modules():
     return [f for f in sorted(SRC.glob("*.py")) if f.name != "__init__.py"]
 
 
+def _public_methods(cls: ast.ClassDef) -> list:
+    return [f.name for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not f.name.startswith("_")]
+
+
 def _used_names() -> set:
+    kernel = next(node for node in ast.parse((SRC / "kernel.py").read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "Kernel")
+    lookups = set(_public_methods(kernel))
     used = set()
     for path, strings in [(f, False) for f in _modules()] + [
             (f, True) for f in sorted(BENCH.glob("*.py"))]:
@@ -37,7 +46,7 @@ def _used_names() -> set:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif strings and isinstance(node, ast.Constant) and node.value in lookups:
                 used.add(node.value)
     return used
 
@@ -51,10 +60,8 @@ def _public_surface() -> dict:
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 surface.update((f"{path.stem}.{n}", n) for n in ast.literal_eval(node.value))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                surface.update(
-                    (f"{path.stem}.{node.name}.{f.name}", f.name) for f in node.body
-                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not f.name.startswith("_"))
+                surface.update((f"{path.stem}.{node.name}.{name}", name)
+                               for name in _public_methods(node))
     return surface
 
 
