@@ -60,7 +60,7 @@ _G = np.stack([1.0 / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
 _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
 _TINY = 1e-300  # floor for logs and divisions
-_BLOCK = 1 << 16  # elements per (nodes, pieces) temporary in _pieces and phi_dense
+_BLOCK = 1 << 16  # nodes per phi_dense block; (piece, element) entries per _pieces block, to 2x
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
@@ -89,6 +89,22 @@ def _panel_rule(edges, n: int):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+def _holds_bool_or_str(value) -> bool:
+    """True if a bool or a string stands where a number belongs (anywhere in
+    nested lists): float() and numpy would read it as 1.0 or parse it."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool_or_str, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
+def _table(mode: str, points) -> np.ndarray:
+    if _holds_bool_or_str(points):
+        raise ConfigError(f"{mode} kernel points must be numbers, not booleans or strings")
+    return np.asarray(points, dtype=float)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Declarative kernel description; validated on construction of a Kernel."""
@@ -98,6 +114,8 @@ class KernelSpec:
 
     @staticmethod
     def indicator(cutoff: float) -> "KernelSpec":
+        if _holds_bool_or_str(cutoff):
+            raise ConfigError("indicator kernel cutoff must be a number, not a bool or a string")
         c = float(cutoff)
         if not np.isfinite(c) or c <= 0:
             raise ConfigError("indicator cutoff must be finite and > 0")
@@ -105,11 +123,11 @@ class KernelSpec:
 
     @staticmethod
     def radial_table(points) -> "KernelSpec":
-        return KernelSpec(mode="radial_table", points=np.asarray(points, dtype=float))
+        return KernelSpec(mode="radial_table", points=_table("radial_table", points))
 
     @staticmethod
     def h_table(points) -> "KernelSpec":
-        return KernelSpec(mode="h_table", points=np.asarray(points, dtype=float))
+        return KernelSpec(mode="h_table", points=_table("h_table", points))
 
     @staticmethod
     def from_dict(doc: dict) -> "KernelSpec":
@@ -123,7 +141,7 @@ class KernelSpec:
                 return KernelSpec.radial_table(doc["points"])
             if mode == "h_table":
                 return KernelSpec.h_table(doc["points"])
-        except ConfigError:  # the indicator's own check, already worded
+        except ConfigError:  # the constructors' own checks, already worded
             raise
         except KeyError as exc:
             raise ConfigError(f"{mode} kernel needs {exc}") from exc
@@ -265,14 +283,17 @@ class Kernel:
         form-factor modes, the one evaluator of their closed forms.  Per piece
         e^{-xa} (C + W0 G0 + W1 G1 + W2 G2)(x len): the G rows by upward
         recursion from x len = _SMALL on, below it the piece's series in
-        Estrin's scheme (4 levels, not Horner's 15 steps); then (1 - e^{-xa}) C,
-        and the sum over the pieces in passes of about _BLOCK elements."""
+        Estrin's scheme (4 levels, not Horner's 15 steps); then (1 - e^{-xa}) C.
+        Pieces are rows and elements columns, in blocks of _BLOCK to
+        2 _BLOCK (pieces, elements), so the temporaries stay bounded, and each
+        element adds its pieces in order whatever the call size."""
         consts, series, use_c, use0, use2 = self._rows[row]
-        xc, out = x[:, None], 0.0
-        step = max(1, _BLOCK // max(x.size, 1))  # pieces per pass: bounded temporaries
-        for p in range(0, len(self._a), step):
-            neg_len, neg_a, cst, w0, w1, w2 = consts[:, p:p + step]
-            z = xc * neg_len
+        neg_len, neg_a, cst, w0, w1, w2 = consts[:, :, None]
+        blocks = max(1, x.size * len(self._a) // _BLOCK)  # of _BLOCK to 2 _BLOCK entries
+        step, parts = max(1, -(-x.size // blocks)), []
+        for start in range(0, max(x.size, 1), step):
+            xr = x[None, start:start + step]
+            z = neg_len * xr
             zl = np.minimum(z, -_SMALL)
             e, g0 = np.exp(zl), np.expm1(zl) / zl
             g1 = (e - g0) / zl
@@ -286,19 +307,20 @@ class Kernel:
             small = z > -_SMALL
             zp = z[small]
             if zp.size:  # sum_n d_n z^n: Estrin halves the 16 terms 4 times
-                d = series[:, p:p + step]
-                d = d[:, np.nonzero(small)[1]] if d.shape[1] > 1 else d
+                # per small element, its piece's coefficients (z[small] is piece-major)
+                d = series if len(val) == 1 else np.repeat(series, small.sum(axis=1), axis=1)
                 while len(d) > 1:
                     d, zp = d[0::2] + d[1::2] * zp, zp * zp
                 val[small] = d[0]
-            if neg_a[-1] < 0.0:  # a increases; a piece from k = 0 needs no shift
-                za = xc * neg_a
+            if neg_a[-1, 0] < 0.0:  # a increases; a piece from k = 0 needs no shift
+                za = neg_a * xr
                 val *= np.exp(za)
                 if use_c:
                     val -= np.expm1(za) * cst
-            part = val.sum(axis=1) if val.shape[1] > 1 else val[:, 0]
-            out = part if p == 0 else np.add(out, part, out=out)
-        return out
+            if len(val) > 1:  # rows in order; numpy would add a lone column pairwise
+                val = np.add.reduce(val, axis=0) if val.shape[1] > 1 else np.cumsum(val)[-1:]
+            parts.append(val.reshape(-1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def h1(self, s: float) -> float:
         """h at one point, as a float."""
@@ -375,13 +397,14 @@ class Kernel:
         end-corrected trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12
         of the exact Psi and h by a cumulative sum, and hands the next block
         its end, the same steps summed pairwise (an exact math.fsum was no
-        closer to phi() and doubled the time).  The exact `psi` and `h` are
-        taken one table piece per pass, so the tracemalloc peak stays at
-        16-24 MiB up to 64 pieces while the time grows with them (2-core x86:
-        0.05-0.07 s for the indicator, 0.45-0.55 s for 8 pieces, 4.5-4.7 s for
-        64).  No phi() call is made, so building the table loads no scipy.
-        The nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
-        indicator kernel (2.5e-11 at span 2048), and 1.0e-12 on a 4-piece
+        closer to phi() and doubled the time).  The exact `psi` and `h` sum
+        all pieces of about 2^16 / pieces nodes per pass, so the tracemalloc
+        peak stays at 14-28 MiB up to 64 pieces while the time grows with
+        them (span 64 in a fresh process on a 2-core x86: 0.04-0.06 s for
+        the indicator, 0.22 s for 4 pieces, 0.83 s for 16 and 5.3 s for 64).
+        No phi() call is made, so building the table loads no scipy.  The
+        nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
+        indicator kernel (2.6e-11 at span 2048), and 1.0e-12 on a 4-piece
         radial table from k = 0.25.  As Phi'' = h, linear interpolation is
         within norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the
         indicator kernel, four times that per doubling beyond.

@@ -351,6 +351,9 @@ def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkey
 @pytest.mark.parametrize("doc", [
     {"mode": "indicator", "cutoff": None},
     {"mode": "radial_table", "points": [[0.5, 1.0], {}]},
+    {"mode": "indicator", "cutoff": True},
+    {"mode": "indicator", "cutoff": "1"},
+    {"mode": "radial_table", "points": [[0, True], ["1", 1]]},
 ])
 def test_malformed_kernel_config_exits_2(tmp_path, doc, capsys):
     cfg = tmp_path / "kernel.json"

@@ -7,9 +7,12 @@ from scipy import integrate
 from spinboson.errors import EstimateUnreliableError
 from spinboson.integrator import coefficient
 from spinboson.jump_process import (
+    _CHUNK,
     _PAIR_BLOCK,
+    _TAG_Z,
     SpinPath,
     _action_chunk,
+    _action_variance,
     _boundary_weights,
     _jump_matrix,
     _mean_action,
@@ -20,7 +23,7 @@ from spinboson.jump_process import (
     sample_path,
 )
 from spinboson.kernel import KernelSpec, build_kernel
-from spinboson.rng import stream
+from spinboson.rng import mc_mean, stream
 from spinboson.series import radius_bound
 
 FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
@@ -219,6 +222,64 @@ def test_estimate_Z_control_variate_error(z_path_estimates):
     # the plain average of e^{cA} gives 1.7e-4 here
     for z in z_path_estimates:
         assert z.std_error / z.value < 1e-5
+
+
+def test_estimate_Z_second_order_control_variate_error(z_path_estimates):
+    # subtracting the first-order term alone gives 1.2e-6 here
+    for z in z_path_estimates:
+        assert z.std_error / z.value < 1e-7
+
+
+def test_estimate_Z_matches_the_hamiltonian_log_Z(z_path_estimates):
+    # log Z = 0.0265656757627 at the z_path inputs, from the Hamiltonian of a
+    # discretized bath (Talbot series to p = 4 and a Krylov exponential agree
+    # to 2e-13), an independent route to Z's bias, which the benchmark's
+    # 1e6-path reference is too coarse to see
+    want, n = math.exp(0.0265656757627), len(z_path_estimates)
+    mean = math.fsum(z.value for z in z_path_estimates) / n
+    sigma_mean = math.sqrt(math.fsum(z.std_error**2 for z in z_path_estimates)) / n
+    assert abs(mean - want) < 3 * sigma_mean
+
+
+@pytest.mark.parametrize("spec,horizon", [
+    (KernelSpec.indicator(1.0), 5.0),
+    (KernelSpec.indicator(1.0), 30.0),
+    (KernelSpec.radial_table(FOUR_PIECES), 5.0),
+], ids=["indicator-T5", "indicator-T30", "four_pieces-T5"])
+def test_action_variance_matches_sampled_paths(spec, horizon):
+    # Z's second order is kappa_2 = Var A = 4 C_2(T) from quadrature; the
+    # unbiased sample variance of A over 10^5 paths checks it, with sigma from
+    # the sample's fourth central moment
+    kernel = build_kernel(spec)
+    phi_tab, dx = kernel.phi_dense(horizon)
+    rng = stream(51, 0)
+    a = np.concatenate([_action_chunk(_jump_matrix(rng, 1024, horizon), horizon, phi_tab, dx)
+                        for _ in range(98)])
+    n, dev = a.size, a - a.mean()
+    var = float(dev @ dev) / (n - 1)
+    sigma = math.sqrt((np.mean(dev**4) - var * var * (n - 3) / (n - 1)) / n)
+    c2 = coefficient(kernel, 2, mode="finite", horizon=horizon, method="quad").value
+    for kappa2 in (_action_variance(kernel, horizon), 4.0 * c2):
+        assert abs(var - kappa2) < 3 * sigma
+
+
+def test_estimate_Z_on_an_h_table_keeps_the_first_order_control_variate(table_kernel):
+    # an h table has no momentum measure, so no kappa_2: each path contributes
+    # e^x - x, x = c (A - A_bar), as before the quadratic term was subtracted
+    alpha, horizon = 3e-4, 5.0
+    assert _action_variance(table_kernel, horizon) is None
+    phi_tab, dx = table_kernel.phi_dense(horizon)
+    c = 0.5 * alpha
+    c_mean = c * _mean_action(table_kernel, horizon)
+
+    def draw(rng, n):
+        rng.integers(0, 2, size=n)
+        x = c * _action_chunk(_jump_matrix(rng, n, horizon), horizon, phi_tab, dx) - c_mean
+        return np.exp(x) - x
+
+    value, se = mc_mean(draw, 4096, _CHUNK, 5, _TAG_Z)
+    est = estimate_Z(alpha, horizon, table_kernel, samples=4096, seed=5)
+    assert (est.value, est.std_error) == (math.exp(c_mean) * value, math.exp(c_mean) * se)
 
 
 def test_moment_closed_form_examples():

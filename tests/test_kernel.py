@@ -99,9 +99,14 @@ def test_invalid_specs_rejected():
     {"mode": "h_table", "points": [[0.0, 1.0], None]},
     {"mode": "h_table", "points": [[0.0, 1.0], [1.0, None]]},
     {"mode": "indicator", "cutoff": "one"},
+    {"mode": "indicator", "cutoff": True},
+    {"mode": "indicator", "cutoff": "1"},
+    {"mode": "radial_table", "points": [[0, True], ["1", 1]]},
+    {"mode": "h_table", "points": [[0.0, 1.0], [1.0, False]]},
 ])
 def test_malformed_kernel_configs_are_config_errors(doc):
-    # a null, an object or a ragged table where numbers belong; a null inside a
+    # a null, an object, a boolean, a string or a ragged table where numbers
+    # belong (float() would read True as 1.0 and parse "1"); a null inside a
     # full table row reads as nan, which validation rejects
     with pytest.raises(ConfigError):
         build_kernel(KernelSpec.from_dict(doc))
@@ -373,7 +378,7 @@ def test_parts_h_row_is_h(spec):
     # one evaluator: the h row of _parts is h bit for bit, on both sides of
     # every series seam and far out
     ker = build_kernel(spec)
-    k = spec.points[:, 0] if spec.points is not None else np.array([0.0, spec.cutoff])
+    k = spec.points[:, 0]
     seams = _SMALL / np.diff(k)
     xs = np.concatenate([[0.0, 1e-300], np.abs(stream(9, 1).laplace(size=2000)), seams,
                          np.nextafter(seams, 0.0), np.nextafter(seams, np.inf), 700.0 / np.diff(k)])
@@ -462,20 +467,23 @@ def test_quantile_is_elementwise(spec):
     assert np.array_equal(xs, alone)
 
 
-@pytest.mark.parametrize("spec", [
-    KernelSpec.indicator(1.0),
-    KernelSpec.radial_table(FOUR_PIECES),
-    KernelSpec.h_table([[0.0, 1.0], [10.0, 0.0]]),
-])
-def test_h_is_elementwise(spec):
+@pytest.mark.parametrize("spec,size", [
+    (KernelSpec.indicator(1.0), 1000),
+    (KernelSpec.radial_table(FOUR_PIECES), 1000),
+    (KernelSpec.h_table([[0.0, 1.0], [10.0, 0.0]]), 1000),
+    (KernelSpec.radial_table(FOUR_PIECES), 30_000),
+], ids=["spec0", "spec1", "spec2", "four_pieces_30000"])
+def test_h_is_elementwise(spec, size):
     # each element takes its own branch of the series seam and the pieces sum
     # alike for any call size, so the h factors of the batches rng.mc_mean
-    # packs into one call stay independent
+    # packs into one call stay independent; at 30,000 elements a 4-piece table
+    # would differ from one element alone if a pass summed only some pieces
     ker = build_kernel(spec)
-    k = spec.points[:, 0] if spec.points is not None else np.array([0.0, spec.cutoff])
+    k = spec.points[:, 0]
     seams = _SMALL / np.diff(k)
-    xs = np.concatenate([stream(9, 0).laplace(size=1000), seams,
+    xs = np.concatenate([stream(9, 0).laplace(size=size), seams,
                          np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)])
-    hs = ker.h(xs)
-    alone = np.array([ker.h(xs[i:i + 1])[0] for i in range(xs.size)])
-    assert np.array_equal(hs, alone)
+    hs, psis = ker.h(xs), ker.psi(xs)
+    for i in range(0, xs.size, max(1, xs.size // 2000)):
+        assert hs[i] == ker.h(xs[i:i + 1])[0]
+        assert psis[i] == ker.psi(xs[i:i + 1])[0]
