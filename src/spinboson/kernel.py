@@ -27,7 +27,7 @@ Kernels are immutable after build and safe to share across workers.
 
 On the form-factor modes one evaluator, `_pieces`, sums the closed forms of
 Psi, the mass beyond |s| or h over the table pieces: `h` (every Monte Carlo
-layer calls it) and `psi` take one row each, `phi_dense` calls both, and
+layer calls it) and `psi` take one row each, `phi_dense` calls `psi`, and
 `_parts` stacks the three rows for `quantile` and the inverse-CDF build; `phi`
 sums Ein forms; `momentum_rule` hands out the Gauss-Legendre rule for
 4 pi k w(k) dk that order-2 quadrature uses, and `first_order` is the
@@ -60,7 +60,10 @@ _G = np.stack([1.0 / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
 _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
 _TINY = 1e-300  # floor for logs and divisions
-_BLOCK = 1 << 16  # nodes per phi_dense block; (piece, element) entries per _pieces block, to 2x
+_BLOCK = 1 << 16  # (piece, element) entries per _pieces block, to 2x
+_PHI_TOL = 1e-11  # phi_dense: its Hermite error bound, per unit of norm_inf
+_PHI_INTERVALS = 1 << 18  # phi_dense: at most this many intervals (8 MiB of coefficients)
+_PHI_GAUSS = 4  # phi_dense: Gauss-Legendre nodes per interval for the chain of Phi
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
@@ -390,44 +393,73 @@ class Kernel:
         return out if out.ndim else float(out)
 
     def phi_dense(self, span: float) -> tuple[np.ndarray, float]:
-        """Uniform Phi table covering [0, span] for fast linear interpolation.
+        """Cubic Hermite table of Phi covering [0, span], and its node spacing
+        dx: row r of the table holds coefficient c_{3-r} of the cubic
+        Phi(i dx + u dx) = ((c3 u + c2) u + c1) u + c0, u in [0, 1], of each
+        interval i; a last column (0, 0, 0, Phi(span)) holds the end node.
 
-        Cached per power-of-two span (at least 64), with 2^20 nodes.  The
-        nodes chain from Phi(0) = 0 in blocks of 2^16: each block sums the
-        end-corrected trapezoid rule dx (Psi_i + Psi_i+1)/2 - dx^2 (h_i+1 - h_i)/12
-        of the exact Psi and h by a cumulative sum, and hands the next block
-        its end, the same steps summed pairwise (an exact math.fsum was no
-        closer to phi() and doubled the time).  The exact `psi` and `h` sum
-        all pieces of about 2^16 / pieces nodes per pass, so the tracemalloc
-        peak stays at 14-28 MiB up to 64 pieces while the time grows with
-        them (span 64 in a fresh process on a 2-core x86: 0.04-0.06 s for
-        the indicator, 0.22 s for 4 pieces, 0.83 s for 16 and 5.3 s for 64).
-        No phi() call is made, so building the table loads no scipy.  The
-        nodes are within 6.8e-13 of phi() at span 64 on the cutoff-1
-        indicator kernel (2.6e-11 at span 2048), and 1.0e-12 on a 4-piece
-        radial table from k = 0.25.  As Phi'' = h, linear interpolation is
-        within norm_inf * dx^2 / 8 of phi(): 2.9e-9 up to span 64 on the
-        indicator kernel, four times that per doubling beyond.
+        Cached per power-of-two span (at least 1).  Each interval's cubic
+        matches Phi and Psi = Phi' at both ends, so as Phi'''' = h'' it is
+        within sup|h''| dx^4 / 384 of Phi.  dx = 2^-j is the largest power of
+        two that keeps this bound within _PHI_TOL norm_inf; on an h table the
+        last abscissa must also be a node (h drops to 0 there, so Phi is not
+        C^4 across it); and dx shrinks no further once there are
+        _PHI_INTERVALS intervals, which caps the table at 8 MiB up to span
+        2^18.  On the form-factor modes sup|h''| = h''(0) = 4 pi int k^3 w dk,
+        exact on the pieces; on an h table it is the largest |h''| at the
+        ends of the PCHIP cubics.
+
+        On the form-factor modes the nodes chain from Phi(0) = 0 by
+        _PHI_GAUSS-point Gauss-Legendre of the exact `psi` over each
+        interval, summed in blocks of about sqrt(intervals) and then over
+        the blocks, so they stay within 3e-15 |Phi| of phi() up to span 1024
+        (cutoffs 1, 10 and 100; one cumulative sum drifts to 1.9e-14 at span
+        128 on cutoff 100); no phi() call is made, so the build loads no
+        scipy.  h tables take Phi and Psi from the exact PCHIP
+        antiderivatives.  Measured at span 30 on 2x10^4 points over [0, 32]
+        and 2x10^4 over the first 64 intervals, against phi() (bound):
+        cutoff-1 indicator, dx 2^-7: 3.04e-11 (3.05e-11); cutoff 10, 2^-9:
+        1.18e-9 (1.19e-9); cutoff 100, 2^-11: 4.6e-8 (4.7e-8); FOUR_PIECES
+        of the tests, 2^-8: 2.02e-11 (2.02e-11); 64 pieces of e^{-k} on
+        [0, 4], 2^-8: 2.58e-11 (2.59e-11); the README's 3-point h table,
+        2^-8: 4.5e-12.  At span 64 the table is 256 KiB on the cutoff-1
+        indicator, 1 MiB at cutoff 10 and 4 MiB at cutoff 100.
+        phi_dense(30) in a fresh process on a 2-core x86: 6-9 ms on the
+        indicator, and 14-21 ms, 25-36 ms and 0.10-0.15 s on 4, 16 and 64
+        pieces of e^{-k} on [0, 4].
         """
-        need = max(64.0, 2.0 ** np.ceil(np.log2(max(span, 1.0))))
-        key = int(need)
+        key = int(2.0 ** np.ceil(np.log2(max(span, 1.0))))
         if key not in self._phi_dense_cache:
-            n, block = 1 << 20, _BLOCK
-            dx = need / (n - 1)
-            tab = np.empty(n)
-            tab[0] = 0.0
-            for start in range(0, n - 1, block):
-                stop = min(start + block, n - 1)
-                xs = np.arange(start, stop + 1) * dx
-                psi, h = self.psi(xs), self.h(xs)
-                step = tab[start + 1:stop + 1]
-                np.add(psi[:-1], psi[1:], out=step)
-                step *= 0.5 * dx
-                step -= (dx * dx / 12.0) * np.diff(h)
-                end = tab[start] + float(np.sum(step))  # pairwise: closer than the cumsum
-                np.cumsum(step, out=step)
-                step += tab[start]
-                tab[stop] = end
+            if self._pp is None:  # h''(0) = 4 pi int k^3 w dk, w = alpha + beta k per piece
+                k0, k1 = self._k[:-1], self._k[1:]
+                h2 = self._alpha @ (k1**4 - k0**4) / 4.0 + self._beta @ (k1**5 - k0**5) / 5.0
+                end = 0.0
+            else:  # h'' of each cubic is linear in s, so largest in size at an end
+                c3, c2 = self._pp.c[:2]
+                h2 = np.abs(np.concatenate([2.0 * c2, 6.0 * c3 * np.diff(self._pp.x) + 2.0 * c2])).max()
+                end = float(self.spec.points[-1, 0])
+            j = 0
+            while key << j < _PHI_INTERVALS and (
+                    h2 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf or end * 2.0**j % 1.0):
+                j += 1
+            n, dx = key << j, 2.0**-j
+            x = np.arange(n + 1) * dx
+            if self._pp is None:  # steps int Psi over each interval, chained from Phi(0) = 0
+                nodes, weights = _panel_rule(x, _PHI_GAUSS)
+                steps = (self.psi(nodes) * weights).reshape(n, -1).sum(axis=1)
+                block = 1 << (n.bit_length() // 2)  # n is a power of two
+                within = np.cumsum(steps.reshape(-1, block), axis=1)
+                starts = np.concatenate([[0.0], np.cumsum(within[:-1, -1])])
+                phi = np.concatenate([[0.0], (within + starts[:, None]).ravel()])
+            else:
+                phi = self._phi_pp(x)
+                steps = np.diff(phi)
+            slope = dx * self.psi(x)
+            tab = np.zeros((4, n + 1))
+            tab[0, :-1] = slope[:-1] + slope[1:] - 2.0 * steps
+            tab[1, :-1] = 3.0 * steps - 2.0 * slope[:-1] - slope[1:]
+            tab[2, :-1] = slope[:-1]
+            tab[3] = phi
             self._phi_dense_cache[key] = (tab, dx)
         return self._phi_dense_cache[key]
 

@@ -8,6 +8,9 @@ The finite-T Monte Carlo draws work column by column in the library; the
 row-wise references below (np.sort, sum(axis=1), np.all and the stacked
 (n, 2p) endpoint matrix) read the same streams, so their outputs must be
 the library's bit for bit.
+
+`hermite_phi` evaluates Kernel.phi_dense's cubic Hermite table one gap at a
+time, with the arithmetic jump_process._action_chunk uses on its blocks.
 """
 
 import math
@@ -19,6 +22,15 @@ from spinboson.integrator import _MC_CHUNK, _TAG_BRUTE, ClusterTerm
 from spinboson.integrator import term_integrand as exact_term_integrand
 from spinboson.kernel import Kernel
 from spinboson.rng import mc_mean
+
+
+def hermite_phi(phi_tab, pos):
+    """Phi at pos dx >= 0 from the table (c3, c2, c1, c0) of node spacing dx:
+    node i = trunc(pos), u = pos - i, ((c3 u + c2) u + c1) u + c0."""
+    i = np.asarray(pos).astype(np.int64)
+    u = pos - i
+    c3, c2, c1, c0 = phi_tab[:, i]
+    return ((c3 * u + c2) * u + c1) * u + c0
 
 
 def overlap_matrix(starts, ends):

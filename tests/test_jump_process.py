@@ -26,6 +26,8 @@ from spinboson.kernel import KernelSpec, build_kernel
 from spinboson.rng import mc_mean, stream
 from spinboson.series import radius_bound
 
+from oracles import hermite_phi
+
 FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
 
 
@@ -320,7 +322,7 @@ def test_moment_mc_deterministic_across_workers():
 
 def _padded_action(signs, times, horizon, phi_tab, dx):
     """-sum_{k,l} w_k w_l Phi(|x_k - x_l|) over every path padded to the
-    longest one, Phi linearly interpolated: the O(n m^2) reference."""
+    longest one, Phi from the cubic Hermite table: the O(n m^2) reference."""
     counts = (times < horizon).sum(axis=1)
     m_max = int(counts.max())
     x = np.empty((len(signs), m_max + 2))
@@ -329,10 +331,7 @@ def _padded_action(signs, times, horizon, phi_tab, dx):
     x[:, 1 : m_max + 1] = np.where(cols[None, :] < counts[:, None], times[:, :m_max], horizon)
     x[:, m_max + 1] = horizon
     w = _boundary_weights(signs, counts, m_max + 2)
-    pos = np.abs(x[:, :, None] - x[:, None, :]) / dx
-    i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
-    frac = pos - i0
-    phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
+    phi = hermite_phi(phi_tab, np.abs(x[:, :, None] - x[:, None, :]) / dx)
     return -np.einsum("nkl,nk,nl->n", phi, w, w)
 
 
@@ -357,27 +356,27 @@ def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel)
     parts = [_action_chunk(times[a:a + 100], horizon, phi_tab, dx)
              for a in range(0, 1024, 100)]
     assert np.array_equal(np.concatenate(parts), got)
-    # against the exact Phi: linear interpolation is off by at most
-    # norm_inf dx^2 / 8 per pair, and the table's nodes by under 1e-12
+    # against the exact Phi: cubic Hermite interpolation is off by at most
+    # max|h''| dx^4 / 384 per pair, h''(0) = 4 pi int_0^1 k^3 dk = pi, and the
+    # table's nodes by under 1e-12
     counts = (times < horizon).sum(axis=1)
     for i in list(range(4)) + list(range(4, 1024, 61)):
         path = SpinPath(int(signs[i]), times[i, : counts[i]], horizon)
         w = _boundary_weights(signs[i : i + 1], counts[i : i + 1], counts[i] + 2)[0]
-        bound = np.abs(w).sum() ** 2 * (indicator_kernel.norm_inf * dx * dx / 8 + 1e-12)
+        bound = np.abs(w).sum() ** 2 * (math.pi * dx**4 / 384 + 1e-12)
         assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
 
 
 def _sequential_action(sign, jumps, horizon, phi_tab, dx):
-    """-2 sum_{k<l} w_k w_l Phi(x_l - x_k) of one path, Phi linearly
-    interpolated, added one pair at a time in the l-major order
-    (1, 0), (2, 0), (2, 1), (3, 0), ...: the summation order Z is pinned to."""
+    """-2 sum_{k<l} w_k w_l Phi(x_l - x_k) of one path, Phi from the cubic
+    Hermite table at the gaps of the times scaled by 1/dx, added one pair at
+    a time in the l-major order (1, 0), (2, 0), (2, 1), (3, 0), ...: the
+    summation order Z is pinned to."""
     x = np.concatenate([[0.0], jumps, [horizon]])
     w = _boundary_weights(np.array([sign]), np.array([len(jumps)]), len(x))[0]
     l, k = np.tril_indices(len(x), -1)
-    pos = (x[l] - x[k]) / dx
-    i0 = np.minimum(pos.astype(np.int64), len(phi_tab) - 2)
-    frac = pos - i0
-    phi = phi_tab[i0] * (1.0 - frac) + phi_tab[i0 + 1] * frac
+    x = x / dx  # dx is a power of two: exact
+    phi = hermite_phi(phi_tab, x[l] - x[k])
     return -2.0 * np.cumsum(w[k] * w[l] * phi)[-1]
 
 
@@ -431,6 +430,24 @@ def test_action_chunk_groups_of_one_two_three_and_a_short_last_block(indicator_k
     got = _action_chunk(times, horizon, phi_tab, dx)
     for i in range(len(jumps)):
         assert got[i] == _sequential_action(signs[i], times[i, : counts[i]], horizon, phi_tab, dx)
+
+
+def test_action_chunk_at_a_power_of_two_horizon_reaches_the_table_end(indicator_kernel):
+    # at T = 32 the gap (0, T) of a path is the whole span: it lands on the
+    # table's end column, so a path without jumps has A = 2 Phi(T) exactly
+    horizon = 32.0
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    assert (phi_tab.shape[1] - 1) * dx == horizon
+    signs, times = _chunk_with_short_paths(64, horizon, 45)
+    got = _action_chunk(times, horizon, phi_tab, dx)
+    assert got[0] == 2.0 * phi_tab[3, -1]
+    assert got[0] == pytest.approx(2.0 * indicator_kernel.phi(horizon), rel=1e-14)
+    counts = (times < horizon).sum(axis=1)
+    for i in range(8):
+        path = SpinPath(int(signs[i]), times[i, : counts[i]], horizon)
+        w = _boundary_weights(signs[i : i + 1], counts[i : i + 1], counts[i] + 2)[0]
+        bound = np.abs(w).sum() ** 2 * (math.pi * dx**4 / 384 + 1e-12)
+        assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
 
 
 def test_action_chunk_memory_is_not_quadratic(indicator_kernel):

@@ -5,8 +5,10 @@ import pytest
 from scipy import integrate
 
 from spinboson.errors import ConfigError, SamplingError
-from spinboson.kernel import _SMALL, KernelSpec, build_kernel
+from spinboson.kernel import _PHI_TOL, _SMALL, KernelSpec, build_kernel
 from spinboson.rng import stream
+
+from oracles import hermite_phi
 
 FOUR_PIECES = [[0.25, 0.6], [0.5, 1.0], [1.0, 0.8], [1.6, 0.3], [2.2, 0.5]]
 RISING_FALLING = [[0.0, 0.0], [0.5, 1.0], [1.0, 0.2], [2.0, 0.0]]  # from k = 0 with w(0) = 0
@@ -270,19 +272,60 @@ def test_phi_properties(indicator_kernel):
 
 
 def test_phi_dense_interpolation_bound(indicator_kernel):
-    # linear interpolation of a function with second derivative h is off by at
-    # most max|h| dx^2 / 8; the tables' own rounding is below 1e-12
+    # cubic Hermite interpolation of a function with fourth derivative h'' is
+    # off by at most max|h''| dx^4 / 384, here h''(0) = 4 pi int_0^1 k^3 dk = pi;
+    # the table's own rounding is below 1e-12
     rng = stream(8, 0)
     for span in (30.0, 100.0):
         tab, dx = indicator_kernel.phi_dense(span)
-        xs = np.arange(len(tab)) * dx
-        assert xs[-1] >= span
-        x = np.concatenate([rng.uniform(0.0, xs[-1], size=100_000),
-                            rng.uniform(0.0, 1.0, size=100_000)])  # h is largest near 0
-        err = np.max(np.abs(np.interp(x, xs, tab) - indicator_kernel.phi(x)))
-        bound = indicator_kernel.norm_inf * dx**2 / 8
+        end = (tab.shape[1] - 1) * dx
+        assert end >= span
+        assert indicator_kernel.phi_dense(end) is indicator_kernel.phi_dense(span)  # cached
+        x = np.concatenate([rng.uniform(0.0, end, size=100_000),
+                            rng.uniform(0.0, 1.0, size=100_000)])  # h'' is largest near 0
+        err = np.max(np.abs(hermite_phi(tab, x / dx) - indicator_kernel.phi(x)))
+        bound = math.pi * dx**4 / 384
         assert err <= bound + 1e-12
         assert err > 0.5 * bound  # the bound is what the table achieves
+
+
+K64 = np.linspace(0.0, 4.0, 65)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.indicator(10.0),
+    KernelSpec.indicator(100.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.radial_table(np.column_stack([K64, np.exp(-K64)])),
+    KernelSpec.h_table([[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]]),  # the README's
+    KernelSpec.h_table([[0.0, 1.0], [0.3, 0.5], [7.3, 0.1]]),  # h drops to 0 off the grid
+], ids=["cutoff1", "cutoff10", "cutoff100", "four_pieces", "64_pieces", "readme_h_table",
+        "h_table_ends_off_grid"])
+def test_phi_dense_error_is_within_the_hermite_bound(spec):
+    # on the form-factor modes the error reaches at least 0.3 of the stated
+    # bound h''(0) dx^4 / 384 and not past it, but for the nodes' rounding
+    # (4e-15 of |Phi|), and dx is the largest power of two whose bound is
+    # within _PHI_TOL norm_inf; on every kernel the error is within the
+    # bound of the linear table of 2^20 nodes over [0, 64] that this replaced
+    kernel = build_kernel(spec)
+    tab, dx = kernel.phi_dense(30.0)
+    rng = stream(9, 0)
+    x = np.concatenate([rng.uniform(0.0, 32.0, size=20_000),
+                        rng.uniform(0.0, 64 * dx, size=20_000)])  # h'' is largest near 0
+    phi = kernel.phi(x)
+    err = np.abs(hermite_phi(tab, x / dx) - phi)
+    assert np.max(err) <= kernel.norm_inf * (64.0 / (2**20 - 1)) ** 2 / 8
+    if spec.mode == "radial_table":
+        pts = spec.points
+        h2 = 4 * math.pi * math.fsum(  # h''(0) = 4 pi int k^3 w dk, the largest |h''|
+            integrate.quad(lambda k: k**3 * np.interp(k, pts[:, 0], pts[:, 1]), lo, hi,
+                           epsabs=0.0, epsrel=1e-13)[0]
+            for lo, hi in zip(pts[:-1, 0], pts[1:, 0]))
+        bound = h2 * dx**4 / 384
+        assert np.max(err - 4e-15 * np.abs(phi)) <= bound
+        assert np.max(err) >= 0.3 * bound
+        assert bound <= _PHI_TOL * kernel.norm_inf < 16 * bound
 
 
 def test_phi_dense_loads_no_scipy():
