@@ -10,7 +10,8 @@ Subcommands:
   verify       lemma1 | bkar | resummation | counts  (exit 1 on failure)
 
 All numeric output is a single JSON document on stdout (CSV only for the
-per-term coefficient dump); diagnostics go to stderr.  Exit codes: 0
+per-term coefficient dump); diagnostics go to stderr, each distinct
+warning once, as `warning: <message>`, when it is raised.  Exit codes: 0
 success, 1 verification failure, 2 usage or configuration error.  Identical
 invocations with the same seed produce byte-identical output for any
 --workers value.
@@ -281,14 +282,18 @@ def main(argv=None) -> int:
     if _stochastic_needs_seed(args):
         print("error: --seed is required for stochastic runs", file=sys.stderr)
         return 2
+    shown = set()
+
+    def show(message, *_):  # each distinct warning once, as its message alone, when raised
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
-            try:
-                doc, code = _HANDLERS[args.command](args)
-            finally:  # each distinct warning once, as its message alone
-                for message in dict.fromkeys(str(w.message) for w in caught):
-                    print(f"warning: {message}", file=sys.stderr)
+            warnings.showwarning = show
+            doc, code = _HANDLERS[args.command](args)
     except (ValueError, SamplingError, FileNotFoundError) as exc:  # ConfigError & co. too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,9 +32,9 @@ kernel-decay edges (from the opened matching) or interval-overlap edges
 
 The order cap is checked once, where a caller's p enters: at the top of
 every function that runs an enumeration to completion (cluster_terms under
-the caller's cap, the census and BKAR checks up to HARD_P_MAX, and
-brute_force_coefficient).  The lazy enumerators enumerate_matchings and
-enumerate_forest_selections check nothing; what drives them checks first.
+the caller's cap, verify_bkar_identity and the tree censuses of verify up to
+HARD_P_MAX, and brute_force_coefficient).  The lazy enumerators
+enumerate_matchings and enumerate_forest_selections check nothing.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ __all__ = [
     "enumerate_forest_selections",
     "OpenedStructure",
     "open_cycles",
-    "spanning_trees",
-    "degree_census",
-    "compatible_pair_counts",
     "forest_volume",
     "verify_bkar_identity",
 ]
@@ -283,48 +280,6 @@ def open_cycles(matching, selection: ForestSelection, root_pair: int = 0) -> Ope
     if len(order) != p:
         raise StructureError("opened edges plus selection do not form a tree")
     return OpenedStructure(tuple(deleted), tuple(steps))
-
-
-def spanning_trees(p: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labeled trees on p vertices, as sorted edge tuples: the enumerator
-    that the connecting forest selections run on."""
-    return _forests_on_blocks(p, spanning=True)
-
-
-def degree_census(p: int) -> dict[tuple[int, ...], int]:
-    """Number of labeled trees per degree sequence, by exhaustive enumeration."""
-    census: dict[tuple[int, ...], int] = {}
-    for tree in spanning_trees(p):
-        deg = [0] * p
-        for i, j in tree:
-            deg[i] += 1
-            deg[j] += 1
-        census[tuple(deg)] = census.get(tuple(deg), 0) + 1
-    return census
-
-
-def compatible_pair_counts(p: int) -> dict[tuple, int]:
-    """Number of (P, selection) pairs from which some cycle opening yields each
-    tree, keyed by the tree's sorted edges, in one pass over the pairs: each
-    pair is added to every tree its cycle openings give.  Orders up to
-    HARD_P_MAX."""
-    check_order(p, HARD_P_MAX)
-    counts: dict[tuple, int] = {}
-    for matching in enumerate_matchings(p):
-        blocks = partition_join(matching)
-        cycle_pedges = [[e for e in matching if blocks.block_of[e[0] // 2] == b]
-                        for b in range(len(blocks.pair_blocks))]
-        openings = []  # contracted edges kept by each deletion that opens every cycle
-        for deletion in itertools.product(*cycle_pedges):
-            kept = [e for e in matching if e not in set(deletion)]
-            sharp = {_norm_edge(a // 2, b // 2) for a, b in kept if a // 2 != b // 2}
-            if len(sharp) == len(kept):
-                openings.append(sharp)
-        for sel in enumerate_forest_selections(matching, connecting_only=True):
-            micro = set(sel.micro_edges)
-            for tree in {tuple(sorted(s | micro)) for s in openings if not s & micro}:
-                counts[tree] = counts.get(tree, 0) + 1
-    return counts
 
 
 def forest_volume(selection: ForestSelection, code):

@@ -1,15 +1,18 @@
 """Verification suites: every layer checked against an independent oracle.
 
 Each suite takes plain arguments and returns a JSON-ready document whose
-"passed" field says whether every check held; census(p) gives the numbers of
-the `counts` command.  Estimators are called through their module attributes
-(integrator.coefficient, ...), so code that wraps those attributes to trace or
-record the estimates sees every call.
+"passed" field says whether every check held.  census(p) gives the numbers of
+the `counts` command; it and counts(p) tally the pairs compatible with each
+labeled tree in one pass.  Estimators are called through their module
+attributes (integrator.coefficient, ...), so code that wraps those attributes
+to trace or record the estimates sees every call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -152,23 +155,43 @@ def resummation(kernel: Kernel, horizons, budget: int, seed: int, workers: int =
     return {"checks": checks, "budget": budget, "passed": passed}
 
 
+def _labeled_trees(p: int) -> list:
+    """Labeled trees on p vertices as sorted edges: the base matching's connecting selections."""
+    base = comb.base_matching(p)
+    return [s.micro_edges for s in comb.enumerate_forest_selections(base, connecting_only=True)]
+
+
+def _add_compatible_pairs(per_tree: Counter, matching, connecting) -> None:
+    """Add each pair of a canonical matching and one of its connecting selections
+    to every tree, keyed by its sorted edges, that one of its cycle openings gives."""
+    block_of = comb.partition_join(matching).block_of
+    cycles = [[e for e in matching if block_of[e[0] // 2] == b] for b in range(max(block_of) + 1)]
+    openings = []  # contracted edges kept by each deletion that opens every cycle
+    for deletion in itertools.product(*cycles):
+        kept = [(a // 2, b // 2) for a, b in matching if (a, b) not in deletion]
+        if len(sharp := {e for e in kept if e[0] != e[1]}) == len(kept):
+            openings.append(sharp)
+    for sel in connecting:
+        micro = set(sel.micro_edges)
+        per_tree.update({tuple(sorted(s | micro)) for s in openings if not s & micro})
+
+
 def census(p: int) -> dict:
     """Matchings, connecting (matching, selection) pairs and labeled spanning
     trees of order p, with the most (matching, selection) pairs any one tree
-    is compatible with.  compatible_pair_counts checks the order cap."""
-    compatible = comb.compatible_pair_counts(p)
-    connecting = sum(
-        1
-        for m in comb.enumerate_matchings(p)
-        for _ in comb.enumerate_forest_selections(m, connecting_only=True)
-    )
-    per_tree = [compatible.get(t, 0) for t in comb.spanning_trees(p)]
+    is compatible with.  Orders up to HARD_P_MAX."""
+    comb.check_order(p, comb.HARD_P_MAX)
+    per_tree, connecting = Counter(), 0
+    for m in comb.enumerate_matchings(p):
+        conn = list(comb.enumerate_forest_selections(m, connecting_only=True))
+        connecting += len(conn)
+        _add_compatible_pairs(per_tree, m, conn)
     return {
         "p": p,
         "matchings": comb.matching_count(p),
         "connecting_pairs": connecting,
-        "per_tree_max": max(per_tree),
-        "trees": len(per_tree),
+        "per_tree_max": max(per_tree.values()),
+        "trees": len(_labeled_trees(p)),
     }
 
 
@@ -194,7 +217,7 @@ def counts(p: int = 4) -> dict:
     following its opened P-edges and selected micro edges once each, each
     from its parent pair to its child pair (key "offspring_counts"), fewer
     than 4^q compatible pairs per tree, and the labeled-tree degree census
-    (orders 2..6) against Cayley's formula."""
+    (orders 2..6) against Cayley's formula.  Orders up to HARD_P_MAX."""
     comb.check_order(p, comb.HARD_P_MAX)
     checks = {}
     checks["matching_counts"] = all(
@@ -202,10 +225,9 @@ def counts(p: int = 4) -> dict:
         for q in range(1, p + 1)
     )
 
-    ok_closed = True
-    ok_consistency = True
-    ok_steps = True
+    ok_closed = ok_consistency = ok_steps = ok_tree = True
     for q in range(1, p + 1):
+        per_tree = Counter()
         for m in comb.enumerate_matchings(q):
             block_of = comb.partition_join(m).block_of
             ok_closed &= all(block_of[a // 2] == block_of[b // 2] for a, b in m)
@@ -217,27 +239,22 @@ def counts(p: int = 4) -> dict:
                     continue
                 spanning.append(s.micro_edges)
                 ok_steps &= _steps_follow_tree(m, s, opened)
-            conn = comb.enumerate_forest_selections(m, connecting_only=True)
+            conn = list(comb.enumerate_forest_selections(m, connecting_only=True))
             ok_consistency &= sorted(s.micro_edges for s in conn) == sorted(spanning)
+            _add_compatible_pairs(per_tree, m, conn)
+        per_tree_max = max(per_tree.values())
+        ok_tree &= per_tree_max < 4**q
     checks["even_cycle_supports"] = ok_closed
     checks["connecting_enumeration_consistent"] = ok_consistency
     checks["offspring_counts"] = ok_steps
-
-    ok_tree = True
-    per_tree_max = 0
-    for q in range(1, p + 1):
-        per_tree_max = census(q)["per_tree_max"]
-        ok_tree &= per_tree_max < 4**q
     checks["per_tree_below_4_to_p"] = ok_tree
 
-    ok_cayley = True
-    for q in range(2, 7):
-        for degs, count in comb.degree_census(q).items():
-            want = math.factorial(q - 2)
-            for d in degs:
-                want //= math.factorial(d - 1)
-            ok_cayley &= count == want
-    checks["cayley_degree_formula"] = ok_cayley
+    checks["cayley_degree_formula"] = all(  # trees per degree sequence: a multinomial
+        count == math.factorial(q - 2) // math.prod(math.factorial(d - 1) for d in degs)
+        for q in range(2, 7)
+        for degs, count in Counter(tuple(sum(v in e for e in tree) for v in range(q))
+                                   for tree in _labeled_trees(q)).items()
+    )
 
     return {
         "p": p,

@@ -2,11 +2,13 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import warnings
 from contextlib import redirect_stdout
 
 import pytest
 
+import spinboson.cli as cli
 import spinboson.combinatorics as comb
 from spinboson import verify
 from spinboson.cli import main
@@ -132,6 +134,28 @@ def test_order_warning_prints_the_message_alone(capsys):
             assert run_cli(argv)[0] == 0
             assert capsys.readouterr().err == (
                 "warning: order p=5: enumeration sizes grow factorially\n")
+
+
+def test_warning_prints_when_raised(monkeypatch, capsys):
+    # a warning shows before what the handler writes after it, not when it returns
+    def handler(args):
+        warnings.warn("first", UserWarning)
+        print("after the warning", file=sys.stderr)
+        warnings.warn("first", UserWarning)
+        return {}, 0
+
+    monkeypatch.setitem(cli._HANDLERS, "norms", handler)
+    assert run_cli(["norms"])[0] == 0
+    assert capsys.readouterr().err == "warning: first\nafter the warning\n"
+
+
+def test_energy_past_the_default_order_cap(kernel_cfg, capsys):
+    # --pmax runs up to the hard cap, warning once that enumeration grows
+    code, doc = run_json(["energy", "--kernel", kernel_cfg, "--alpha", "3e-4", "--pmax", "5",
+                          "--method", "mc", "--budget", "1", "--seed", "1"])
+    assert code == 0
+    assert [c["p"] for c in doc["coefficients"]] == [1, 2, 3, 4, 5]
+    assert capsys.readouterr().err == "warning: order p=5: enumeration sizes grow factorially\n"
 
 
 def test_verify_counts_small():
@@ -340,6 +364,9 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
     (["verify", "bkar", "--p", "3", "--seed", "1", "--trials", "0"], "trials must be"),
     (["verify", "counts", "--p", "0"], "order p must be"),
     (["counts", "--p", "7"], "beyond the cap"),
+    (["energy", "--pmax", "0", "--method", "quad", "--alpha", "1e-4"], "order p must be"),
+    (["energy", "--pmax", "-2", "--method", "quad", "--alpha", "1e-4"], "order p must be"),
+    (["energy", "--pmax", "7", "--method", "quad", "--alpha", "1e-4"], "beyond the cap"),
 ])
 def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkeypatch):
     monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)  # not every subcommand takes --kernel

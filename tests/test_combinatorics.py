@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,15 +14,12 @@ from spinboson.combinatorics import (
     ForestSelection,
     base_matching,
     check_order,
-    compatible_pair_counts,
-    degree_census,
     enumerate_forest_selections,
     enumerate_matchings,
     forest_volume,
     matching_count,
     open_cycles,
     partition_join,
-    spanning_trees,
     verify_bkar_identity,
 )
 from spinboson.errors import ResourceError, StructureError
@@ -59,8 +58,8 @@ def test_order_cap_resource_guard():
 
 
 def test_order_cap_checked_once_per_entry_point(monkeypatch):
-    # the lazy enumerators check nothing; cluster_terms checks once, and
-    # counts once plus once per census order
+    # the lazy enumerators check nothing; cluster_terms, counts and census
+    # each check once
     calls = []
 
     def counting(*args):
@@ -73,7 +72,10 @@ def test_order_cap_checked_once_per_entry_point(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     verify.counts(4)
-    assert len(calls) == 5
+    assert calls == [(4, combinatorics.HARD_P_MAX)]
+    calls.clear()
+    verify.census(4)
+    assert calls == [(4, combinatorics.HARD_P_MAX)]
 
 
 def test_partition_join_base_matching_gives_singletons():
@@ -249,14 +251,27 @@ def test_open_cycles_rejects_micro_edge_inside_a_block():
         open_cycles(m, sel)
 
 
+def _compatible_pair_counts(p):
+    """Per-tree compatible-pair counts of order p, by the census helper."""
+    counts = Counter()
+    for m in enumerate_matchings(p):
+        verify._add_compatible_pairs(counts, m, enumerate_forest_selections(m, connecting_only=True))
+    return counts
+
+
 def test_spanning_tree_counts_match_cayley():
     for p in (2, 3, 4, 5, 6):
-        assert len(list(spanning_trees(p))) == p ** (p - 2)
+        trees = verify._labeled_trees(p)
+        assert len(trees) == len(set(trees)) == p ** (p - 2)
+        assert all(len(t) == p - 1 and list(t) == sorted(t) for t in trees)
 
 
 def test_degree_census_matches_cayley_formula():
     for p in (3, 4, 5, 6):
-        census = degree_census(p)
+        census = {}
+        for tree in verify._labeled_trees(p):
+            degs = tuple(sum(v in e for e in tree) for v in range(p))
+            census[degs] = census.get(degs, 0) + 1
         for degs, count in census.items():
             want = math.factorial(p - 2)
             for d in degs:
@@ -267,12 +282,12 @@ def test_degree_census_matches_cayley_formula():
 
 
 def test_count_compatible_pairs_small():
-    assert compatible_pair_counts(1).get((), 0) == 1
-    n2 = compatible_pair_counts(2).get(((0, 1),), 0)
+    assert _compatible_pair_counts(1).get((), 0) == 1
+    n2 = _compatible_pair_counts(2).get(((0, 1),), 0)
     assert n2 == 3  # (base, edge), (cross, empty) x 2 -- by hand
     assert n2 < 4**2
-    counts3 = compatible_pair_counts(3)
-    for tree in spanning_trees(3):
+    counts3 = _compatible_pair_counts(3)
+    for tree in verify._labeled_trees(3):
         assert counts3.get(tree, 0) < 4**3
 
 
@@ -297,10 +312,29 @@ def _count_compatible_pairs_per_tree(tree, p):
     return count
 
 
+CENSUS = {  # p: matchings, connecting pairs, most compatible pairs per tree, labeled trees
+    1: (1, 1, 1, 1),
+    2: (3, 3, 3, 1),
+    3: (15, 23, 13, 3),
+    4: (105, 304, 43, 16),
+    5: (945, 5829, 141, 125),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CENSUS))
+def test_census_numbers_are_pinned(p):
+    matchings, connecting, per_tree_max, trees = CENSUS[p]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # p = 5 is past the default cap
+        assert verify.census(p) == {"p": p, "matchings": matchings, "connecting_pairs": connecting,
+                                    "per_tree_max": per_tree_max, "trees": trees}
+        assert verify.counts(p)["per_tree_max"] == per_tree_max
+
+
 def test_compatible_pair_counts_match_per_tree_enumeration():
     for p in range(1, 5):
-        counts = compatible_pair_counts(p)
-        trees = list(spanning_trees(p))
+        counts = _compatible_pair_counts(p)
+        trees = verify._labeled_trees(p)
         assert [counts.get(t, 0) for t in trees] == [
             _count_compatible_pairs_per_tree(t, p) for t in trees]
         # every counted pair opens to a spanning tree

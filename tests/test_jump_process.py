@@ -345,6 +345,37 @@ def _chunk_with_short_paths(n, horizon, seed):
     return signs, times
 
 
+class _SlowDraws:
+    """Exponential draws of (r + 1 + c) / 64 in row r of call c: dyadic, so
+    their sums are exact, and small enough that rows need several blocks."""
+
+    def __init__(self):
+        self.draws = []
+
+    def exponential(self, size):
+        assert len(self.draws) < 6, "the rows never reach the horizon"
+        n, block = size
+        e = np.repeat((np.arange(n)[:, None] + 1.0 + len(self.draws)) / 64, block, axis=1)
+        self.draws.append(e.copy())
+        return e
+
+
+def test_jump_matrix_extends_every_row_past_the_horizon(indicator_kernel):
+    horizon, rng = 5.0, _SlowDraws()
+    times = _jump_matrix(rng, 6, horizon)
+    assert len(rng.draws) >= 3  # row 0 needs four blocks, row 5 two
+    assert times.shape == (6, sum(d.shape[1] for d in rng.draws))
+    assert np.all(times[:, -1] >= horizon)
+    for row, got in enumerate(times):  # the cumulative sums of the row's own draws
+        assert np.array_equal(got, np.cumsum(np.concatenate([d[row] for d in rng.draws])))
+    # a row's up to 10^4 pair terms, each up to Phi(5) = 35, cancel to about
+    # 1e-2, so their rounding is bounded in absolute terms, not relative to A
+    phi_tab, dx = indicator_kernel.phi_dense(horizon)
+    np.testing.assert_allclose(_action_chunk(times, horizon, phi_tab, dx),
+                               _padded_action(np.ones(6), times, horizon, phi_tab, dx),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel):
     horizon = 30.0
     phi_tab, dx = indicator_kernel.phi_dense(horizon)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spinboson import rng
-from spinboson.errors import CertificateError
-from spinboson.integrator import coefficient
+from spinboson import rng, series
+from spinboson.errors import CertificateError, ResourceError
+from spinboson.integrator import CoefficientEstimate, coefficient
 from spinboson.kernel import KernelSpec, build_kernel
 from spinboson.series import (
     alpha_from_lambda,
@@ -98,6 +98,24 @@ def test_lambda_alpha_round_trip():
     for lam in (0.01, 0.34, 2.0):
         assert lambda_from_alpha(alpha_from_lambda(lam)) == pytest.approx(lam, rel=1e-15)
     assert alpha_from_lambda(4 * math.pi) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_energy_checks_p_max_once_and_runs_every_order_under_it(indicator_kernel, monkeypatch):
+    seen = []
+
+    def recording(kernel, p, **kwargs):
+        seen.append((p, kwargs["p_max"]))
+        return CoefficientEstimate(1.0, 0.0, 0.0, "monte_carlo", p, None, None)
+
+    monkeypatch.setattr(series, "coefficient", recording)
+    for p_max in (0, -1, 7):
+        with pytest.raises(ResourceError):
+            energy(indicator_kernel, alpha=1e-4, p_max=p_max, method="mc", budget=1, seed=1)
+    assert seen == []
+    with pytest.warns(UserWarning, match="p=6: enumeration sizes grow factorially"):
+        res = energy(indicator_kernel, alpha=1e-4, p_max=6, method="mc", budget=1, seed=1)
+    assert seen == [(p, 6) for p in range(1, 7)]
+    assert len(res.coefficients) == 6
 
 
 def test_energy_zero_alpha(indicator_kernel):
