@@ -100,6 +100,12 @@ def _cmd_coefficient(args):
     if args.raw:
         if mode != "finite":
             raise ConfigError("--raw needs --finite-T (the raw series lives at finite T)")
+        ignored = [flag for flag, given in (("--method quad", args.method == "quad"),
+                                            ("--per-term", args.per_term),
+                                            ("--pin-pair", args.pin_pair != 0)) if given]
+        if ignored:
+            raise ConfigError("--raw is one Monte Carlo estimate of the whole raw series; "
+                              f"it takes no {', '.join(ignored)}")
         est = integrator.brute_force_coefficient(
             ker, args.p, args.finite_T, budget=1_000_000 if args.budget is None else args.budget,
             seed=args.seed, workers=args.workers,

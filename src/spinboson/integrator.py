@@ -59,7 +59,7 @@ from .combinatorics import (
 )
 from .errors import ResourceError
 from .kernel import Kernel
-from .rng import mc_mean
+from .rng import _kronecker, mc_mean
 
 __all__ = [
     "CoefficientEstimate",
@@ -344,7 +344,7 @@ def integrate_term(
         raise ValueError("method must be 'quad' or 'mc'")
     _ = term.volumes  # fill the table and pair classes before the batches share them
     value, err = mc_mean(
-        lambda rng, n: _mc_chunk(kernel, term, rng, n, horizon),
+        lambda rng, runs: _mc_chunk(kernel, term, rng, sum(runs), horizon),
         budget or 200_000, _MC_CHUNK, seed, _TAG_TERM, term_index, workers=workers,
     )
     return CoefficientEstimate(value, err, 0.0, "monte_carlo", term.p, horizon, None)
@@ -401,9 +401,22 @@ def brute_force_coefficient(
 ) -> CoefficientEstimate:
     """Order-p Taylor coefficient of Z(alpha, T) from the raw moment series.
 
-    Uniform sampling of the 2p times over [0, T]^{2p}; the spin moment is the
-    closed form on the times sorted column-wise by an odd-even transposition
-    network (Knuth, TAOCP Vol. 3, 5.3.4); scaled by (1/2)^p T^{2p} / p!.
+    Randomized quasi-Monte Carlo over [0, T]^{2p}: the times are T u for the
+    shifted Kronecker points u of rng._kronecker, one shift per run, so each
+    batch mean is one independent randomization and the batch-means error
+    stays honest.  The spin moment is the closed form on the times sorted
+    column-wise by an odd-even transposition network (Knuth, TAOCP Vol. 3,
+    5.3.4); scaled by (1/2)^p T^{2p} / p!.
+
+    At T = 5 on the cutoff-1 indicator, the variance of a run's mean against
+    as many uniform draws falls 213-225x at p = 1, 17-27x at p = 2 and
+    4.1-5.2x at p = 3, for runs of 2000, 2001 and 4000 points (300 runs
+    each).  At p = 2 a scrambled Sobol set of 2048 points gave 4.1x, and a
+    Korobov lattice 1.5x at 2000 points but 28.7x at the prime 2003: at even
+    N its z_1 - z_0 is even, so the t_1 - t_0 projection, on which the h
+    factor depends, takes only N/2 values.  Batch sizes are rarely prime,
+    and Sobol needs scipy.stats.  Over 20 seeds at budget 2e5, the reported
+    error fell from 0.041 to 0.0030 at p = 1, and from 0.51 to 0.11 at p = 2.
     """
     if p > 3:
         raise ResourceError("raw-series coefficients are limited to p <= 3 (2p-dim integral)")
@@ -412,9 +425,9 @@ def brute_force_coefficient(
         raise ValueError("horizon must be finite and positive")
     scale = 0.5**p * horizon ** (2 * p) / math.factorial(p)
 
-    def draw(rng, n):
-        t = rng.uniform(0.0, horizon, size=(n, 2 * p))
-        hprod = np.ones(n)
+    def draw(rng, runs):
+        t = horizon * _kronecker(rng, runs, 2 * p)
+        hprod = np.ones(len(t))
         for factor in kernel.h(t[:, 1::2] - t[:, 0::2]).T:  # one h call, pairs in order
             hprod *= factor
         ts = list(t.T)  # odd-even transposition network: 2p rounds over the columns

@@ -273,7 +273,8 @@ def estimate_Z(
     kappa2 = _action_variance(kernel, horizon)
     c2_kappa2 = None if kappa2 is None else c * c * kappa2
 
-    def draw(rng, n):
+    def draw(rng, runs):
+        n = sum(runs)
         rng.integers(0, 2, size=n)  # initial signs, unused (A is even in them): keeps later draws
         times = _jump_matrix(rng, n, horizon)
         expo = c * _action_chunk(times, horizon, phi_tab, dx)
@@ -313,7 +314,8 @@ def estimate_moment_mc(times, samples: int, seed: int, workers: int = 1) -> MCEs
     horizon = float(t[-1])
     q = t.size
 
-    def draw(rng, n):
+    def draw(rng, runs):
+        n = sum(runs)
         signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
         jumps = _jump_matrix(rng, n, horizon)
         flips = np.zeros(n, dtype=np.int64)

@@ -13,12 +13,22 @@ its own slice of the values.  The grouping depends on (samples, chunk)
 alone, so it cannot make results depend on the workers.
 Where no two consecutive batches fit in min(chunk, _PACK) together, group g
 is batch g, so each batch draws from stream(seed, *key, b) alone.
+
+The run contract: each draw call is told the sizes of the runs that tile
+it, in order.  A packed call covers one run per batch; a lone batch is
+drawn in calls of at most `chunk` samples, each call one run.  So a run
+never spans two batches.  Plain Monte Carlo draws sum(runs) samples and
+ignores the split, so its bits do not depend on it.  A randomized
+quasi-Monte Carlo draw randomizes each run on its own (_kronecker): the
+runs are independent, so are the batch means, and the batch-means error
+stays honest for any worker count.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 
@@ -88,6 +98,37 @@ def batch_mean(batch_sums, batch_sizes) -> tuple[float, float]:
     return mean, math.sqrt(var / nb)
 
 
+@cache
+def _r_alpha(d: int) -> np.ndarray:
+    """alpha_j = phi_d^-j, j = 1..d, of the R_d sequence, with phi_d the root
+    > 1 of x^(d+1) = x + 1 (fixed-point iteration contracts by at most 0.31)."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1.0)
+    alpha.flags.writeable = False
+    return alpha
+
+
+def _kronecker(rng, runs, d: int) -> np.ndarray:
+    """Randomly shifted Kronecker points in [0, 1)^d, shape (sum(runs), d):
+    run r of n points is u_i = frac(i alpha + Delta_r), i = 0..n-1, with
+    alpha of the R_d sequence (_r_alpha) and Delta_r one uniform d-vector
+    per run from rng (a Cranley-Patterson rotation).  Every point is
+    uniform on [0, 1)^d and the runs are independent, so a run's mean is an
+    unbiased estimate.  The points are computed as frac(k alpha + Delta_r -
+    s_r alpha) over the call's indices k, s_r the run's first: that is
+    frac(i alpha + Delta_r) up to the rounding of k alpha, at most 5.7e-12
+    measured for k < 2^16."""
+    runs = np.asarray(runs)
+    alpha = _r_alpha(d)
+    shift = rng.random((len(runs), d)) - np.multiply.outer(np.cumsum(runs) - runs, alpha)
+    u = np.multiply.outer(alpha, np.arange(runs.sum()))
+    u += np.repeat(shift.T, runs, axis=1)
+    u -= np.floor(u)
+    return u.T
+
+
 def _groups(ranges, chunk):
     """Consecutive batches packed into one call while their total stays within
     min(chunk, _PACK); a larger batch is a group of its own."""
@@ -107,27 +148,30 @@ def _groups(ranges, chunk):
 def mc_mean(draw, samples: int, chunk: int, seed: int, *key: int, workers: int = 1):
     """Mean and batch-means standard error of a per-sample quantity.
 
-    draw(rng, n) draws n samples from rng and returns the quantity per
-    sample, an array of n.  Group g of consecutive batches of
-    batch_layout(samples) draws from stream(seed, *key, g).  A batch larger
-    than min(chunk, _PACK) is a group alone, drawn in calls of at most
-    `chunk`; smaller consecutive batches share one call of at most that many
-    samples, and each batch sums its own slice of the values.  Batches
-    therefore use disjoint draws, and the result depends on
-    (seed, key, samples, chunk) alone, bit for bit, whatever the worker
-    count.
+    draw(rng, runs) draws sum(runs) samples from rng and returns the
+    quantity per sample, an array of sum(runs); runs is the tuple of the
+    sizes of the runs the call covers, in order.  Group g of consecutive
+    batches of batch_layout(samples) draws from stream(seed, *key, g).  A
+    batch larger than min(chunk, _PACK) is a group alone, drawn in calls of
+    at most `chunk`, one run each; smaller consecutive batches share one
+    call of at most that many samples, one run per batch, and each batch
+    sums its own slice of the values.  Batches therefore use disjoint
+    draws, and the result depends on (seed, key, samples, chunk) alone, bit
+    for bit, whatever the worker count.
     """
     ranges = batch_layout(samples)
+    sizes = [stop - start for start, stop in ranges]
     groups = _groups(ranges, chunk)
 
     def run_group(g):
         rng, batches = stream(seed, *key, g), groups[g]
         start, stop = ranges[batches[0]][0], ranges[batches[-1]][1]
         if len(batches) == 1:
-            return [math.fsum(float(np.sum(draw(rng, min(chunk, stop - lo))))
+            return [math.fsum(float(np.sum(draw(rng, (min(chunk, stop - lo),))))
                               for lo in range(start, stop, chunk))]
         cuts = [ranges[b][0] - start for b in batches]
-        return np.add.reduceat(draw(rng, stop - start), cuts).tolist()
+        runs = tuple(sizes[batches[0]:batches[-1] + 1])
+        return np.add.reduceat(draw(rng, runs), cuts).tolist()
 
     sums = [s for group in map_batches(run_group, len(groups), workers) for s in group]
-    return batch_mean(sums, [stop - start for start, stop in ranges])
+    return batch_mean(sums, sizes)

@@ -21,7 +21,7 @@ from spinboson.combinatorics import ForestSelection, _norm_edge
 from spinboson.integrator import _MC_CHUNK, _TAG_BRUTE, ClusterTerm
 from spinboson.integrator import term_integrand as exact_term_integrand
 from spinboson.kernel import Kernel
-from spinboson.rng import mc_mean
+from spinboson.rng import _kronecker, mc_mean
 
 
 def hermite_phi(phi_tab, pos):
@@ -103,12 +103,13 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
 
 
 def raw_series_draw(kernel: Kernel, p: int, horizon: float):
-    """The per-sample raw-series quantity of brute_force_coefficient, with the
-    moment on the np.sort-ed times summed by sum(axis=1)."""
+    """The per-sample raw-series quantity of brute_force_coefficient on the
+    same shifted Kronecker times, with the moment on the np.sort-ed times
+    summed by sum(axis=1)."""
 
-    def draw(rng, n):
-        t = rng.uniform(0.0, horizon, size=(n, 2 * p))
-        hprod = np.ones(n)
+    def draw(rng, runs):
+        t = horizon * _kronecker(rng, runs, 2 * p)
+        hprod = np.ones(len(t))
         for factor in kernel.h(t[:, 1::2] - t[:, 0::2]).T:
             hprod *= factor
         ts = np.sort(t, axis=1)

@@ -367,6 +367,15 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
     (["energy", "--pmax", "0", "--method", "quad", "--alpha", "1e-4"], "order p must be"),
     (["energy", "--pmax", "-2", "--method", "quad", "--alpha", "1e-4"], "order p must be"),
     (["energy", "--pmax", "7", "--method", "quad", "--alpha", "1e-4"], "beyond the cap"),
+    # the raw series is one Monte Carlo estimate: no quadrature, terms or pin pair
+    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--method", "quad"],
+     "takes no --method quad"),
+    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--per-term",
+      "--output", "csv"], "takes no --per-term"),
+    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--pin-pair", "1"],
+     "takes no --pin-pair"),
+    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--method", "quad",
+      "--pin-pair", "1"], "takes no --method quad, --pin-pair"),
 ])
 def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkeypatch):
     monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)  # not every subcommand takes --kernel

@@ -195,6 +195,49 @@ def test_brute_force_p1_matches_quadrature(indicator_kernel):
     assert abs(est.value - quad_est.value) < 3 * est.statistical_error
 
 
+def test_raw_series_error_is_calibrated(indicator_kernel):
+    # Each raw-series batch is one shifted Kronecker run, so the batch means
+    # are independent and the batch-means error must be honest.  Over K = 400
+    # seeds at T = 3 and budget 10,000 (100 runs of 100 points), the z-scores
+    # of z_1 against quadrature C_1 and of z_2 against C_2/2 + C_1^2/2 (both
+    # by quadrature, exact to 1e-11 relative) follow the t law with 99
+    # degrees of freedom, sd 1.01.  Their mean has sd 1/sqrt(400) = 0.05, so
+    # +-0.25 is 5 sds; their sd has a relative sd of 1/sqrt(2 K) = 3.5%, so
+    # [0.85, 1.15] is 4 sds either side.  The spread of the 400 values is
+    # their variance, with relative sd sqrt(2/399) = 7.1%, against the mean
+    # SE^2 (relative sd 0.7%): 0.3 is 4 sds.
+    T, budget, K = 3.0, 10_000, 400
+    c1 = coefficient(indicator_kernel, 1, mode="finite", horizon=T, method="quad").value
+    c2 = coefficient(indicator_kernel, 2, mode="finite", horizon=T, method="quad").value
+    for p, want in [(1, c1), (2, c2 / 2 + c1**2 / 2)]:
+        runs = [brute_force_coefficient(indicator_kernel, p, T, budget=budget, seed=s)
+                for s in range(K)]
+        values = np.array([r.value for r in runs])
+        se = np.array([r.statistical_error for r in runs])
+        z = (values - want) / se
+        assert abs(z.mean()) <= 0.25, (p, z.mean())
+        assert 0.85 <= z.std(ddof=1) <= 1.15, (p, z.std(ddof=1))
+        assert abs(values.var(ddof=1) / np.mean(se**2) - 1.0) < 0.3
+
+
+def test_raw_series_loads_no_scipy():
+    # the raw series draws its points in the repo, with no scipy.stats.qmc
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from spinboson.integrator import brute_force_coefficient\n"
+        "from spinboson.kernel import KernelSpec, build_kernel\n"
+        "ker = build_kernel(KernelSpec.indicator(1.0))\n"
+        "for p in (1, 2, 3):\n"
+        "    brute_force_coefficient(ker, p, 5.0, budget=20_000, seed=p)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    assert out.stdout.rstrip().endswith("[]")
+
+
 def test_resummation_orders_2_and_3(indicator_kernel):
     # raw Taylor coefficients of Z(alpha, T) against the exponential of the
     # connected coefficients: z2 = C2/2 + C1^2/2 and z3 = C3/6 + C1 C2/2 + C1^3/6
@@ -466,8 +509,10 @@ def test_raw_series_equals_sorted_reference(indicator_kernel, radial_kernel, p, 
         est = brute_force_coefficient(kernel, p, 3.0, budget=20_000, seed=11, workers=workers)
         want = raw_series_coefficient(kernel, p, 3.0, 20_000, 11, workers=workers)
         assert (est.value, est.statistical_error) == want
-        got = draws.pop()(stream(11, 0), 5000).tobytes()
-        assert got == raw_series_draw(kernel, p, 3.0)(stream(11, 0), 5000).tobytes()
+        draw = draws.pop()
+        for runs in [(5000,), (1, 2000, 2999)]:  # one lone run, and packed runs
+            got = draw(stream(11, 0), runs).tobytes()
+            assert got == raw_series_draw(kernel, p, 3.0)(stream(11, 0), runs).tobytes()
 
 
 def test_mc_chunk_equals_stacked_reference(indicator_kernel, radial_kernel):

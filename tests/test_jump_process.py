@@ -274,9 +274,9 @@ def test_estimate_Z_on_an_h_table_keeps_the_first_order_control_variate(table_ke
     c = 0.5 * alpha
     c_mean = c * _mean_action(table_kernel, horizon)
 
-    def draw(rng, n):
-        rng.integers(0, 2, size=n)
-        x = c * _action_chunk(_jump_matrix(rng, n, horizon), horizon, phi_tab, dx) - c_mean
+    def draw(rng, runs):
+        rng.integers(0, 2, size=sum(runs))
+        x = c * _action_chunk(_jump_matrix(rng, sum(runs), horizon), horizon, phi_tab, dx) - c_mean
         return np.exp(x) - x
 
     value, se = mc_mean(draw, 4096, _CHUNK, 5, _TAG_Z)
