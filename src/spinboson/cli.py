@@ -95,11 +95,15 @@ def _cmd_simulate(args):
 
 
 def _cmd_coefficient(args):
+    if args.output == "csv" and not args.per_term:
+        raise ConfigError("--output csv is the per-term table; it needs --per-term")
     ker = _load_kernel(args)
     mode = "finite" if args.finite_T is not None else "pinned"
     if args.raw:
         if mode != "finite":
             raise ConfigError("--raw needs --finite-T (the raw series lives at finite T)")
+        if args.p_max is not None and args.p > args.p_max:
+            raise ConfigError(f"order p={args.p} beyond --p-max {args.p_max}")
         ignored = [flag for flag, given in (("--method quad", args.method == "quad"),
                                             ("--per-term", args.per_term),
                                             ("--pin-pair", args.pin_pair != 0)) if given]
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="order-p Taylor coefficient of Z from the raw series")
     p.add_argument("--output", choices=("json", "csv"), default="json",
-                   help="csv applies to --per-term dumps")
+                   help="csv is the --per-term table (and needs --per-term)")
 
     p = sub.add_parser("energy", help="truncated energy series")
     add_kernel(p)

@@ -22,16 +22,19 @@ the antiderivatives Psi(s) = int_0^s h (odd) and Phi with Phi'' = h (even,
 Phi(0) = Phi'(0) = 0), and two exact samplers for displacements with density
 h(|s|)/||h||_1: by composition for the form-factor modes (draw the momentum
 k ~ w(k)/int w, then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for
-h tables.
-Kernels are immutable after build and safe to share across workers.
+h tables; each also draws within a window, with the window's probability
+(`_displacement_in`), for the finite-horizon sampler.
+Kernels are immutable after build (their tables are cached on first use)
+and safe to share across workers.
 
 On the form-factor modes one evaluator, `_pieces`, sums the closed forms of
-Psi, the mass beyond |s| or h over the table pieces: `h` (every Monte Carlo
-layer calls it) and `psi` take one row each, `phi_dense` calls `psi`, and
-`_parts` stacks the three rows for `quantile` and the inverse-CDF build; `phi`
-sums Ein forms; `momentum_rule` hands out the Gauss-Legendre rule for
-4 pi k w(k) dk that order-2 quadrature uses, and `first_order` is the
-order-1 time integral, on every mode.
+Psi, the mass beyond |s|, h or h' over the table pieces: `h` (the pinned
+Monte Carlo calls it) and `psi` take one row each, `phi_dense` calls `psi`,
+`_h_dense` tabulates h from the h and h' rows for the finite-horizon Monte
+Carlo, and `_parts` stacks the first three rows for `quantile` and the
+inverse-CDF build; `phi` sums Ein forms; `momentum_rule` hands out the
+Gauss-Legendre rule for 4 pi k w(k) dk that order-2 quadrature uses, and
+`first_order` is the order-1 time integral, on every mode.
 Against scipy quad of the defining k-integral, at 0, 1e-300, on both sides
 of each piece's series seam and at 150 s from 1e-8 to 700/len, `h` is
 within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
@@ -57,17 +60,65 @@ _FACT = np.cumprod(np.maximum(_N, 1)).astype(float)
 # Series of G_j(y) = int_0^1 t^j e^{-yt} dt = sum_n z^n / (n! (n+j+1)) in z = -y
 # (j <= 2), A(x) = int_0^x phi(y)/y dy and B(x) = int_0^x phi, phi(y) = y - 1 + e^{-y}.
 _G = np.stack([1.0 / (_FACT * (_N + j + 1)) for j in range(3)], axis=1)
+_G3 = 1.0 / (_FACT * (_N + 4))  # and G_3, which only the slope row of h weighs
 _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
                        (_N >= 3) * -((-1.0) ** _N) / _FACT])
 _TINY = 1e-300  # floor for logs and divisions
+_ALMOST_M1 = 2.0**-53 - 1.0  # floor for log1p arguments, log1p of it is -36.7
 _BLOCK = 1 << 16  # (piece, element) entries per _pieces block, to 2x
-_PHI_TOL = 1e-11  # phi_dense: its Hermite error bound, per unit of norm_inf
-_PHI_INTERVALS = 1 << 18  # phi_dense: at most this many intervals (8 MiB of coefficients)
+_PHI_TOL = 1e-11  # phi_dense, _h_dense: their Hermite error bound, per unit of norm_inf
+_PHI_INTERVALS = 1 << 18  # phi_dense, _h_dense: at most this many intervals (8 MiB)
 _PHI_GAUSS = 4  # phi_dense: Gauss-Legendre nodes per interval for the chain of Phi
 _NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
 _U_GRADES = 50  # first_order: panels [T 2^-j-1, T 2^-j], j < _U_GRADES, then [0, T 2^-_U_GRADES]
+
+
+def _hermite(values, slopes, steps):
+    """Cubic Hermite table (4, n + 1) on n + 1 equally spaced nodes: column i
+    holds (c3, c2, c1, c0) of the cubic ((c3 u + c2) u + c1) u + c0, u in
+    [0, 1], that meets `values` and the slopes per node spacing `slopes` at
+    both ends of interval i, given its `steps` values[i + 1] - values[i];
+    the last column (0, 0, 0, values[n]) holds the end node."""
+    tab = np.zeros((4, len(values)))
+    tab[0, :-1] = slopes[:-1] + slopes[1:] - 2.0 * steps
+    tab[1, :-1] = 3.0 * steps - 2.0 * slopes[:-1] - slopes[1:]
+    tab[2, :-1] = slopes[:-1]
+    tab[3] = values
+    return tab
+
+
+def _truncated_laplace(u, a, b):
+    """Laplace(0, 1) variates truncated to [a, b] (a <= b, 1-d), by the
+    closed-form inverse CDF at the uniforms u in [0, 1), and the mass of
+    [a, b].
+
+    A window below 0 is mirrored above it.  Then [a, b] holds
+    R = e^{-c} (-expm1(c - b)) / 2 on [c, b], c = max(a, 0), and
+    L = -expm1(min(a, 0)) / 2 on [a, 0].  With v = u (L + R) - L, a draw
+    with v < 0 lies below 0 at log1p(2v), and one with v >= 0 at
+    c - log1p((v / R) expm1(c - b)), counted from c.  So a window on one
+    side keeps its mass and draws to relative accuracy in the far tails
+    and as its width goes to 0 (mass 0 and the draw c at width 0), and a
+    window across 0 keeps them near 0; towards the far ends of a wide
+    window across 0 the draw is exact to the rounding of u (L + R).  The
+    log1p arguments are floored at 2^-53 - 1, so the draws stay finite at
+    the extreme uniforms, within e^-36.7 of mass of the far end; they can
+    leave [a, b] by rounding.
+    """
+    flip = b < 0.0
+    lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
+    c = np.maximum(lo, 0.0)
+    em = np.expm1(c - hi)
+    right = -0.5 * np.exp(-c) * em
+    left = -0.5 * np.expm1(np.minimum(lo, 0.0))
+    mass = left + right
+    v = u * mass - left
+    frac = np.divide(v, right, out=np.zeros_like(v), where=right > 0.0)
+    y = np.where(v < 0.0, np.log1p(np.maximum(2.0 * v, _ALMOST_M1)),
+                 c - np.log1p(np.maximum(frac * em, _ALMOST_M1)))
+    return np.where(flip, -y, y), mass
 
 
 def _series_below_small(out, x, coefs):
@@ -226,13 +277,20 @@ class Kernel:
             t0, t1 = c * wa, c * dw
             c0, c1, c2 = c * self._a * wa, c * (self._a * dw + self._len * wa), c * self._len * dw
             piece_mass, z = c * (wa + 0.5 * dw), np.zeros_like(c)
+            # row 3 is h' = -4 pi int k^2 w e^{-|s|k} dk, with k^2 w = (a + len t) k w
+            # cubic in t, so it adds W3 G3; rows 0-2 have W3 = 0 and skip it
             self._rows = []
-            for cst, *ws in ([piece_mass, -t0, -t1, z], [z, t0, t1, z], [z, c0, c1, c2]):
-                series = _G @ np.array(ws)
+            for cst, *ws in ([piece_mass, -t0, -t1, z, z], [z, t0, t1, z, z], [z, c0, c1, c2, z],
+                             [z, -self._a * c0, -(self._a * c1 + self._len * c0),
+                              -(self._a * c2 + self._len * c1), -self._len * c2]):
+                series = _G @ np.array(ws[:3])
+                if ws[3].any():
+                    series += _G3[:, None] * ws[3]
                 if cst.any():  # Psi: C + W0 + W1/2 = 0, so its series starts at n = 1
                     series[0] = 0.0
                 self._rows.append((np.array([-self._len, -self._a, cst, *ws]), series,
-                                   bool(cst.any()), bool(ws[0].any()), bool(ws[2].any())))
+                                   bool(cst.any()), bool(ws[0].any()), bool(ws[2].any()),
+                                   bool(ws[3].any())))
             beta = dw / self._len  # Phi = sum of alpha dA + beta dB / s over the pieces
             self._alpha, self._beta = 4.0 * np.pi * (wa - beta * self._a), 4.0 * np.pi * beta
             self._mass = float(piece_mass.sum())
@@ -263,6 +321,7 @@ class Kernel:
                  for hw in (hs[:-1] * width, hs[1:] * width)]
             self._inverse = keys, np.column_stack([keys[:-1], inv_dk, xs[:-1], width, *m])
         self._phi_dense_cache: dict[int, tuple[np.ndarray, float]] = {}
+        self._h_dense_cache: dict = {}
 
     def _parts(self, x):
         """Psi, Psi(inf) - Psi and h at x >= 0 (1-d), stacked; the middle row
@@ -290,8 +349,8 @@ class Kernel:
         Pieces are rows and elements columns, in blocks of _BLOCK to
         2 _BLOCK (pieces, elements), so the temporaries stay bounded, and each
         element adds its pieces in order whatever the call size."""
-        consts, series, use_c, use0, use2 = self._rows[row]
-        neg_len, neg_a, cst, w0, w1, w2 = consts[:, :, None]
+        consts, series, use_c, use0, use2, use3 = self._rows[row]
+        neg_len, neg_a, cst, w0, w1, w2, w3 = consts[:, :, None]
         blocks = max(1, x.size * len(self._a) // _BLOCK)  # of _BLOCK to 2 _BLOCK entries
         step, parts = max(1, -(-x.size // blocks)), []
         for start in range(0, max(x.size, 1), step):
@@ -303,8 +362,11 @@ class Kernel:
             val = w1 * g1
             if use0:  # skip the terms no piece of the row weighs
                 val += w0 * g0
-            if use2:
-                val += w2 * ((e - 2.0 * g1) / zl)
+            if use2 or use3:
+                g2 = (e - 2.0 * g1) / zl
+                val += w2 * g2
+                if use3:
+                    val += w3 * ((e - 3.0 * g2) / zl)
             if use_c:
                 val += cst
             small = z > -_SMALL
@@ -454,13 +516,7 @@ class Kernel:
             else:
                 phi = self._phi_pp(x)
                 steps = np.diff(phi)
-            slope = dx * self.psi(x)
-            tab = np.zeros((4, n + 1))
-            tab[0, :-1] = slope[:-1] + slope[1:] - 2.0 * steps
-            tab[1, :-1] = 3.0 * steps - 2.0 * slope[:-1] - slope[1:]
-            tab[2, :-1] = slope[:-1]
-            tab[3] = phi
-            self._phi_dense_cache[key] = (tab, dx)
+            self._phi_dense_cache[key] = (_hermite(phi, dx * self.psi(x), steps), dx)
         return self._phi_dense_cache[key]
 
     def displacement(self, rng, n: int) -> np.ndarray:
@@ -480,12 +536,121 @@ class Kernel:
         if self._pp is not None:
             mag = self.quantile(rng.random(n))
             return (rng.integers(0, 2, size=n) * 2 - 1) * mag
+        k = self._momenta(rng, n)
+        return rng.laplace(size=n) / k
+
+    def _momenta(self, rng, n: int) -> np.ndarray:
+        """n momenta k > 0 with density w(k)/int w on the form-factor modes,
+        by the closed-form inverse CDF of the piecewise-linear w, from one
+        generator call of uniforms on (0, 1]."""
         ends, rows = self._momentum
         q = (1.0 - rng.random(n)) * ends[-1]  # mass below k, in (0, mass]
         below, c, wa, dw, a, length = rows[np.searchsorted(ends, q)].T
         r = (q - below) / c  # > 0: solve wa t + dw t^2 / 2 = r by the stable root
         t = 2.0 * r / (wa + np.sqrt(np.maximum(wa * wa + 2.0 * dw * r, 0.0)))
-        return rng.laplace(size=n) / (a + length * np.minimum(t, 1.0))
+        return a + length * np.minimum(t, 1.0)
+
+    def _displacement_in(self, rng, lo, hi):
+        """Displacements d in the windows [lo, hi] (1-d arrays, lo <= hi),
+        drawn from generator rng, and the probability P of each window, for
+        an unbiased weight norm_l1 P in place of norm_l1: E[norm_l1 P g(d)]
+        is the integral of g h over the window.
+
+        On the form-factor modes d is drawn as by `displacement`, but with
+        the Laplace variate of the drawn momentum k truncated to the window
+        (_truncated_laplace at k lo, k hi); P is that Laplace law's mass of
+        the window, so the weight is exact given k, and its mean over k is
+        the window's share of ||h||_1.  On an h table d is the exact inverse
+        CDF of h(|s|) truncated to the window, and P = int_lo^hi h / ||h||_1:
+        a window on one side of 0 is read from Psi, or from the mass beyond
+        once its near end is past the median of |s|, and one across 0 from
+        Psi on each side, then `quantile`'s Newton solve on that mass.
+        Each draw takes two generator calls on the form-factor modes and one
+        on an h table; d is clipped into its window against rounding, and a
+        window of width 0 has P = 0 and d = lo.  A window below 0 is drawn
+        from its near end, so there d falls as the uniform rises.
+        On the windows of the T = 5 sampler, 4000 draws took about 85-110 ns
+        each on the form-factor modes (60-70 ns unwindowed) and 570 ns on
+        the README's h table (350 ns).  Against the exact truncated CDF, the
+        Laplace draw and its mass are exact to 1e-15 relative, in both deep
+        tails, for widths down to 1e-9 and at the extreme uniforms
+        (_truncated_laplace); the h-table draw meets its uniform's share of
+        the window to 1e-9 and P to 1e-12 relative.
+        """
+        if self._inverse is None:
+            raise SamplingError("cannot sample displacements from a zero kernel")
+        if self._pp is None:
+            k = self._momenta(rng, len(lo))
+            y, prob = _truncated_laplace(rng.random(len(lo)), k * lo, k * hi)
+            return np.minimum(np.maximum(y / k, lo), hi), prob
+        u = rng.random(len(lo))
+        flip = hi < 0.0  # mirror a window below 0 onto [a, b], b >= 0
+        a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        ends = np.concatenate([np.abs(a), b])
+        psi, tail = self._psi_pp(ends), -self._tail_pp(ends)
+        psi_a, psi_b, tail_a, tail_b = psi[: len(a)], psi[len(a):], tail[: len(a)], tail[len(a):]
+        across, by_tail = a < 0.0, tail_a < psi_a
+        mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
+        v = u * mass
+        mag = self._invert(~across & by_tail, np.where(
+            across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
+        d = np.where(flip != (across & (v < psi_a)), -mag, mag)
+        return np.minimum(np.maximum(d, lo), hi), np.maximum(mass, 0.0) / self.norm_l1
+
+    def _h_dense(self, span: float):
+        """h on |s| <= span, as a function of s: a cubic Hermite table of h
+        on [0, 2^ceil(log2 span)] on the form-factor modes, and the PCHIP
+        itself (`h`) on an h table.  Past the table's end it reads h there.
+
+        Each interval's cubic matches h and h' (row 3 of `_pieces`, exact) at
+        both ends, so it is within sup|h''''| dx^4 / 384 of h, where
+        sup|h''''| = h''''(0) = 4 pi int k^5 w dk, exact on the pieces.  dx =
+        2^-j is the largest power of two that keeps this within
+        _PHI_TOL norm_inf, with at most _PHI_INTERVALS intervals.  Cached per
+        power-of-two span.  The table is phi_dense's (4, n + 1) layout; a
+        call gathers each coefficient at the node index of |s|/dx, an exact
+        scaling, and adds them by Horner.
+        Measured on 4x10^5 points over [0, span] and its first 64 intervals,
+        against `h` (bound), for the table at T = 5 and its build in a fresh
+        process on a 2-core x86: cutoff-1 indicator, dx 2^-7: 2.03e-11
+        (2.03e-11; 3.2e-12 norm_inf), 32 KiB, 0.21-0.22 ms; cutoff 10,
+        2^-10: 4.94e-9 (4.96e-9), 256 KiB, 0.8 ms; cutoff 100, 2^-14:
+        7.6e-8 (7.6e-8), 4 MiB, 7 ms; FOUR_PIECES of the tests, 2^-8:
+        6.2e-11 (6.3e-11), 64 KiB, 0.7 ms; 64 pieces of e^{-k} on [0, 4],
+        2^-9: 1.2e-11 (1.2e-11), 128 KiB, 30 ms.  At T = 30 the cutoff-100
+        table stops at the interval cap, dx 2^-13 (8 MiB, 1.9e-11 norm_inf).
+        A call on 8000 points took about 7 ns per point, against 12-46 ns
+        for `h` on the indicator, whose cost per point at that size depends
+        on the process's allocation history.
+        """
+        key = 2.0 ** math.ceil(math.log2(span))
+        if key not in self._h_dense_cache:
+            self._h_dense_cache[key] = self.h if self._pp is not None else self._hermite_h(key)
+        return self._h_dense_cache[key]
+
+    def _hermite_h(self, key: float):
+        """The Hermite table of h on [0, key] for _h_dense, as a function."""
+        k0, k1 = self._k[:-1], self._k[1:]  # h''''(0) = 4 pi int k^5 w dk, w = alpha + beta k
+        h4 = self._alpha @ (k1**6 - k0**6) / 6.0 + self._beta @ (k1**7 - k0**7) / 7.0
+        j = max(0, -math.floor(math.log2(key)))  # at least one interval
+        while key * 2.0**j < _PHI_INTERVALS and h4 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf:
+            j += 1
+        n, scale = int(key * 2.0**j), 2.0**j
+        x = np.arange(n + 1) / scale
+        values = self._pieces(x, 2)
+        c3, *lower = _hermite(values, self._pieces(x, 3) / scale, np.diff(values))
+
+        def h(s):
+            pos = np.minimum(np.abs(s) * scale, float(n))  # exact: scale is a power of two
+            i = pos.astype(np.intp)
+            u = pos - i
+            out = c3[i]
+            for coef in lower:
+                out *= u
+                out += coef[i]
+            return out
+
+        return h
 
     def quantile(self, u):
         """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1.
@@ -512,9 +677,14 @@ class Kernel:
         u = np.asarray(u, dtype=float)
         shape = u.shape
         u = u.ravel()
-        keys, rows = self._inverse
         upper = u > 0.5
-        q = np.where(upper, 1.0 - u, u) * self._mass  # mass beyond x, or below it
+        x = self._invert(upper, np.where(upper, 1.0 - u, u) * self._mass).reshape(shape)
+        return x if x.ndim else float(x)
+
+    def _invert(self, upper, q):
+        """x >= 0 (1-d) with mass q beyond it where `upper`, and with mass q
+        below it (Psi(x) = q) elsewhere: the solve of `quantile`."""
+        keys, rows = self._inverse
         key = np.where(upper, -q, q)
         idx = np.minimum(np.maximum(np.searchsorted(keys, key, side="right") - 1, 0), len(rows) - 1)
         k0, inv_dk, lo, width, m0, m1 = rows[idx].T
@@ -532,8 +702,7 @@ class Kernel:
             live = live[np.abs(new - last) > _NEWTON_TOL * width[live]]
             if not live.size:
                 break
-        x = x.reshape(shape)
-        return x if x.ndim else float(x)
+        return x
 
 
 def build_kernel(spec: KernelSpec) -> Kernel:

@@ -5,9 +5,9 @@ The library integrates the interpolation parameters v exactly
 v-integral can be checked against the integrand it integrates.
 
 The finite-T Monte Carlo draws work column by column in the library; the
-row-wise references below (np.sort, sum(axis=1), np.all and the stacked
-(n, 2p) endpoint matrix) read the same streams, so their outputs must be
-the library's bit for bit.
+row-wise references below (np.sort, sum(axis=1) and the stacked (n, 2p)
+endpoint matrix) read the same streams, the same windowed displacements
+and the same h table, so their outputs must be the library's bit for bit.
 
 `hermite_phi` evaluates Kernel.phi_dense's cubic Hermite table one gap at a
 time, with the arithmetic jump_process._action_chunk uses on its blocks.
@@ -104,13 +104,15 @@ def term_integrand(kernel: Kernel, term: ClusterTerm, t, v=None):
 
 def raw_series_draw(kernel: Kernel, p: int, horizon: float):
     """The per-sample raw-series quantity of brute_force_coefficient on the
-    same shifted Kronecker times, with the moment on the np.sort-ed times
-    summed by sum(axis=1)."""
+    same shifted Kronecker times and the same h table over [0, T], with the
+    moment on the np.sort-ed times summed by sum(axis=1)."""
+
+    h = kernel._h_dense(horizon)
 
     def draw(rng, runs):
         t = horizon * _kronecker(rng, runs, 2 * p)
         hprod = np.ones(len(t))
-        for factor in kernel.h(t[:, 1::2] - t[:, 0::2]).T:
+        for factor in h(t[:, 1::2] - t[:, 0::2]).T:
             hprod *= factor
         ts = np.sort(t, axis=1)
         return hprod * np.exp(-2.0 * (ts[:, 1::2] - ts[:, 0::2]).sum(axis=1))
@@ -130,31 +132,42 @@ def raw_series_coefficient(kernel: Kernel, p: int, horizon: float, budget: int, 
 
 def mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon):
     """The per-sample values of integrator._mc_chunk from the same draws, with
-    the deleted-edge factors gathered from the stacked (n, 2p) endpoints and
-    the box mask taken by np.all over the rows."""
+    the deleted-edge factors gathered from the stacked (n, 2p) endpoints.
+    At a finite horizon each draw is confined to [0, T] as the library's:
+    the endpoint t of a pair j lies in [o_j, o_j + room_j], o_j its offset
+    from the start (0 or the length), room_j = (T - l_j)+, and the deleted
+    factors read the h table over [0, T]."""
     p = term.p
     lengths = rng.exponential(0.5, size=(n, p))
     s = np.zeros((n, p))
     weight = np.full(n, 0.5**p)
     if horizon is not None:
-        s[:, term.pin_pair] = rng.uniform(0.0, horizon, size=n)
-        weight *= horizon
+        room = np.maximum(horizon - lengths, 0.0)
+        s[:, term.pin_pair] = rng.random(n) * room[:, term.pin_pair]
+        weight *= room[:, term.pin_pair]
     for child, parent, kind, cpt, ppt in term.opened.steps:
         if kind == "h":
             t_parent = s[:, parent] + (lengths[:, parent] if ppt % 2 else 0.0)
-            t_child = t_parent + kernel.displacement(rng, n)
-            s[:, child] = t_child - (lengths[:, child] if cpt % 2 else 0.0)
-            weight *= kernel.norm_l1
+            offset = lengths[:, child] if cpt % 2 else 0.0
+            if horizon is None:
+                s[:, child] = t_parent + kernel.displacement(rng, n) - offset
+                weight *= kernel.norm_l1
+            else:
+                d, prob = kernel._displacement_in(rng, offset - t_parent,
+                                                  offset - t_parent + room[:, child])
+                s[:, child] = np.clip(t_parent + d - offset, 0.0, room[:, child])
+                weight *= kernel.norm_l1 * prob
         else:
-            span = lengths[:, child] + lengths[:, parent]
-            s[:, child] = (s[:, parent] - lengths[:, child]) + rng.random(n) * span
+            lo, span = s[:, parent] - lengths[:, child], lengths[:, child] + lengths[:, parent]
+            if horizon is not None:
+                lo = np.maximum(lo, 0.0)
+                span = np.clip(np.minimum(s[:, parent] + lengths[:, parent], room[:, child]) - lo,
+                               0.0, None)
+            s[:, child] = lo + rng.random(n) * span
             weight *= span
     t = np.stack([s, s + lengths], axis=2).reshape(n, 2 * p)
     a, b = np.array(term.opened.deleted_edges).T
-    for factor in kernel.h(t[:, a] - t[:, b]).T:
+    h = kernel.h if horizon is None else kernel._h_dense(horizon)
+    for factor in h(t[:, a] - t[:, b]).T:
         weight *= factor
-    ends = s + lengths
-    value = term.sign * weight * term.weight(s, ends)
-    if horizon is not None:
-        value *= np.all((s >= 0.0) & (ends <= horizon), axis=1)
-    return value
+    return term.sign * weight * term.weight(s, s + lengths)

@@ -95,6 +95,21 @@ def test_coefficient_per_term_csv(kernel_cfg):
     assert lines[1].split(",")[2] == "0-1;2-3"
 
 
+def test_coefficient_csv_needs_per_term(kernel_cfg, capsys):
+    # a CSV request without --per-term was answered in JSON with exit 0
+    code, out = run_cli(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--method", "mc",
+                         "--budget", "2000", "--seed", "3", "--output", "csv"])
+    assert code == 2 and out == ""
+    assert "--per-term" in capsys.readouterr().err
+
+
+def test_raw_coefficient_within_p_max_runs(kernel_cfg):
+    # --p-max bounds the raw order as it bounds the connected one
+    code, doc = run_json(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--finite-T", "3",
+                          "--raw", "--seed", "1", "--budget", "2000", "--p-max", "2"])
+    assert code == 0 and doc["p"] == 2
+
+
 def test_energy_cli(kernel_cfg):
     code, doc = run_json([
         "energy", "--kernel", kernel_cfg, "--lambda", "0.05", "--pmax", "2",
@@ -376,6 +391,15 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
      "takes no --pin-pair"),
     (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--method", "quad",
       "--pin-pair", "1"], "takes no --method quad, --pin-pair"),
+    # an order past --p-max is refused with --raw as without it
+    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--budget", "2000",
+      "--p-max", "1"], "beyond --p-max 1"),
+    (["coefficient", "--p", "2", "--finite-T", "3", "--seed", "1", "--budget", "2000",
+      "--p-max", "1"], "beyond the cap 1"),
+    # CSV is the per-term table only
+    (["coefficient", "--p", "2", "--method", "quad", "--output", "csv"], "needs --per-term"),
+    (["coefficient", "--p", "1", "--finite-T", "3", "--raw", "--seed", "1", "--output", "csv"],
+     "needs --per-term"),
 ])
 def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkeypatch):
     monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)  # not every subcommand takes --kernel

@@ -220,6 +220,31 @@ def test_raw_series_error_is_calibrated(indicator_kernel):
         assert abs(values.var(ddof=1) / np.mean(se**2) - 1.0) < 0.3
 
 
+def test_finite_cluster_error_is_calibrated(indicator_kernel):
+    # The finite-horizon cluster terms draw every configuration inside the
+    # box, with weights that depend on the drawn windows; their batch-means
+    # error must stay honest.  Over K = 300 seeds at budget 10,000 (100
+    # batches of 100 per term), the z-scores of c_1 and c_2 at T = 2 and 5
+    # against quadrature (exact to 1e-11 relative) follow the t law with 99
+    # degrees of freedom, sd 1.01.  Their mean has sd 1/sqrt(300) = 0.058,
+    # so +-0.25 is 4.3 sds; their sd has a relative sd of 1/sqrt(2 K) =
+    # 4.1%, so [0.85, 1.15] is 3.7 sds either side; the spread of the
+    # values against the mean SE^2 has relative sd sqrt(2/299) = 8.2%, so
+    # 0.3 is 3.7 sds.  Measured: means -0.09 to 0.00, sds 0.99 to 1.04.
+    K, budget = 300, 10_000
+    for T in (2.0, 5.0):
+        for p in (1, 2):
+            want = coefficient(indicator_kernel, p, mode="finite", horizon=T, method="quad").value
+            runs = [coefficient(indicator_kernel, p, mode="finite", horizon=T, method="mc",
+                                budget=budget, seed=s) for s in range(K)]
+            values = np.array([r.value for r in runs])
+            se = np.array([r.statistical_error for r in runs])
+            z = (values - want) / se
+            assert abs(z.mean()) <= 0.25, (T, p, z.mean())
+            assert 0.85 <= z.std(ddof=1) <= 1.15, (T, p, z.std(ddof=1))
+            assert abs(values.var(ddof=1) / np.mean(se**2) - 1.0) < 0.3, (T, p)
+
+
 def test_raw_series_loads_no_scipy():
     # the raw series draws its points in the repo, with no scipy.stats.qmc
     import subprocess
@@ -306,21 +331,98 @@ def test_mc_weights_reproduce_integrand(indicator_kernel):
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
 
 
-def test_mc_weights_reproduce_integrand_finite(indicator_kernel):
+def _laplace_mass(k, lo, hi):
+    """Mass of the Laplace law of rate k on [lo, hi], from its CDF."""
+    cdf = [np.where(x < 0, 0.5 * np.exp(k * x), 1.0 - 0.5 * np.exp(-k * x)) for x in (lo, hi)]
+    return cdf[1] - cdf[0]
+
+
+def _box_proposal_density(kernel, term, lengths, starts, horizon, momenta):
+    """Density of the finite-horizon proposal at a sampled configuration,
+    and the factor it leaves on the integrand: 1 on an h table, whose
+    windowed draw has density h(d) / (norm_l1 P), P the window's share of
+    norm_l1 from psi; given the momentum k of each kernel edge on the
+    form-factor modes, where the draw has the truncated Laplace density
+    (k/2) e^{-k|d|} / P_k and the factor is (k/2) e^{-k|d|} norm_l1 / h(d)."""
+    room = np.maximum(horizon - lengths, 0.0)
+    dens = np.prod(2.0 * np.exp(-2.0 * lengths), axis=1) / room[:, term.pin_pair]
+    factor = np.ones(len(lengths))
+    t = np.empty((lengths.shape[0], 2 * term.p))
+    t[:, 0::2] = starts
+    t[:, 1::2] = starts + lengths
+    for child, parent, kind, cpt, ppt in term.opened.steps:
+        if kind == "h":
+            disp = t[:, cpt] - t[:, ppt]
+            lo = (lengths[:, child] if cpt % 2 else 0.0) - t[:, ppt]
+            hi = lo + room[:, child]
+            if kernel.spec.mode == "h_table":
+                prob = (kernel.psi(hi) - kernel.psi(lo)) / kernel.norm_l1
+                dens *= kernel.h(disp) / kernel.norm_l1 / prob
+            else:
+                k = momenta.pop(0)
+                laplace = 0.5 * k * np.exp(-k * np.abs(disp))
+                dens *= laplace / _laplace_mass(k, lo, hi)
+                factor *= laplace * kernel.norm_l1 / kernel.h(disp)
+        else:
+            lo = np.maximum(starts[:, parent] - lengths[:, child], 0.0)
+            hi = np.minimum(starts[:, parent] + lengths[:, parent], room[:, child])
+            dens *= 1.0 / (hi - lo)
+    return dens, factor, t
+
+
+def test_mc_weights_reproduce_integrand_finite(indicator_kernel, table_kernel, monkeypatch):
+    # per-sample identity at T = 4 for the proposal that stays in the box:
+    # weight times proposal density equals the exact integrand (times the
+    # momentum's share on the form-factor modes, see _box_proposal_density)
+    # wherever the weight is positive, and the weight is 0 only where a pair
+    # is longer than T
     from spinboson.integrator import _sample_chunk
 
-    T = 4.0
-    term = cluster_terms(2)[1]  # crossing matching, hardcore pair
-    n = 128
-    lengths, starts, weight = _sample_chunk(indicator_kernel, term, stream(93, 0), n, T)
-    dens, t = _proposal_density(indicator_kernel, term, lengths, starts)
-    dens /= T  # uniform root position over [0, T]
-    ov = overlap_matrix(starts, starts + lengths)
-    hard = (~ov[:, 0, 1]).astype(float)
-    box = np.all((starts >= 0) & (starts + lengths <= T), axis=1)
-    lhs = term.sign * weight * hard * box * dens
-    rhs = term_integrand(indicator_kernel, term, t) * box
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
+    momenta, draw = [], Kernel._momenta
+    monkeypatch.setattr(Kernel, "_momenta",
+                        lambda self, rng, n: momenta.append(draw(self, rng, n)) or momenta[-1])
+    T, n = 4.0, 128
+    terms = cluster_terms(2) + cluster_terms(3)[::7]
+    assert {kind for term in terms for _, _, kind, _, _ in term.opened.steps} == {"h", "overlap"}
+    for kernel in (indicator_kernel, table_kernel):
+        for idx, term in enumerate(terms):
+            lengths, starts, weight = _sample_chunk(kernel, term, stream(93, idx), n, T)
+            live = weight > 0
+            assert np.array_equal(~live, np.any(lengths > T, axis=1))
+            dens, factor, t = _box_proposal_density(kernel, term, lengths[live], starts[live],
+                                                    T, [k[live] for k in momenta])
+            momenta.clear()
+            ov = overlap_matrix(starts[live], starts[live] + lengths[live])
+            hard = np.ones(len(dens))
+            for i, j in term.selection.block_pairs:
+                hard *= ~ov[:, i, j]
+            v = stream(91, idx).random((len(dens), term.q))
+            path_factor = np.ones(len(dens))
+            for (i, j), spec in term.selection.path_pairs:
+                path_factor *= np.where(ov[:, i, j], 1.0 - np.min(v[:, list(spec)], axis=1), 1.0)
+            lhs = term.sign * weight[live] * hard * path_factor * dens
+            rhs = term_integrand(kernel, term, t, v=v) * factor
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
+
+
+@pytest.mark.parametrize("horizon", [0.5, 3.0, 30.0])
+def test_finite_draws_lie_in_the_box(indicator_kernel, radial_kernel, table_kernel, horizon):
+    # every finite-horizon draw with a positive weight lies in [0, T]: the
+    # starts from 0 and the ends up to T (but for the rounding of
+    # (T - l) + l); exactly the draws with a pair longer than T weigh 0
+    from spinboson.integrator import _sample_chunk
+
+    terms = [t for p in (1, 2, 3) for t in cluster_terms(p)] + cluster_terms(4)[::61]
+    top = np.nextafter(horizon, np.inf)
+    for kernel in (indicator_kernel, radial_kernel, table_kernel):
+        for idx, term in enumerate(terms):
+            lengths, s, weight = _sample_chunk(kernel, term, stream(95, idx), 500, horizon)
+            live = weight > 0
+            assert np.all(s >= 0.0) and np.all(weight >= 0.0)
+            assert np.all((s + lengths)[live] <= top)
+            assert np.array_equal(~live, np.any(lengths > horizon, axis=1))
+            inside = (1.0 - math.exp(-2.0 * horizon)) ** term.p  # all p Exp(2) lengths <= T
+            assert abs(live.mean() - inside) <= 4 * math.sqrt(inside * (1 - inside) / 500) + 1e-12
 
 
 def test_pinned_c3_matches_finite_horizon_slope(indicator_kernel):
@@ -516,19 +618,21 @@ def test_raw_series_equals_sorted_reference(indicator_kernel, radial_kernel, p, 
 
 
 def test_mc_chunk_equals_stacked_reference(indicator_kernel, radial_kernel):
-    # column-wise deleted-edge factors and box mask against the stacked (n, 2p)
-    # endpoints and np.all: every p <= 3 term and five p = 4 terms (every term
-    # has a deleted edge), pinned and at T = 3
+    # column-wise deleted-edge factors against the stacked (n, 2p) endpoints:
+    # every p <= 3 term and five p = 4 terms (every term has a deleted edge),
+    # pinned and at T = 3, where every draw lies in the box
+    from spinboson.integrator import _sample_chunk
+
     terms = [t for p in (1, 2, 3) for t in cluster_terms(p)] + cluster_terms(4)[::61]
-    boxed = 0
     for kernel in (indicator_kernel, radial_kernel):
         for idx, term in enumerate(terms):
             for horizon in (None, 3.0):
                 got = _mc_chunk(kernel, term, stream(94, idx), 300, horizon)
                 want = mc_chunk(kernel, term, stream(94, idx), 300, horizon)
                 assert got.tobytes() == want.tobytes()
-                boxed += horizon is not None and 0 < np.count_nonzero(got) < got.size
-    assert boxed > len(terms)  # the box mask both keeps and drops samples
+            lengths, s, weight = _sample_chunk(kernel, term, stream(94, idx), 300, 3.0)
+            live = weight > 0
+            assert np.all(s >= 0.0) and np.all((s + lengths)[live] <= np.nextafter(3.0, 4.0))
 
 
 # c_2 on the cutoff-1 indicator, pinned and at T = 2, 5, 30: a momentum grid

@@ -530,3 +530,213 @@ def test_h_is_elementwise(spec, size):
     for i in range(0, xs.size, max(1, xs.size // 2000)):
         assert hs[i] == ker.h(xs[i:i + 1])[0]
         assert psis[i] == ker.psi(xs[i:i + 1])[0]
+
+
+# ---------------------------------------------------------------------------
+# finite-horizon pieces: the slope row, the h table and the windowed draw
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.radial_table(RISING_FALLING),
+], ids=["indicator", "four_pieces", "rising_falling"])
+def test_slope_row_matches_quad_of_defining_integral(spec):
+    # row 3 of _pieces is h' = -4 pi int k^2 w e^{-|s|k} dk, on both sides of
+    # each piece's series seam and far out
+    ker = build_kernel(spec)
+    pts = spec.points
+    seams = _SMALL / np.diff(pts[:, 0])
+    for s in np.concatenate([[0.0, 0.3, 1.0, 4.0, 30.0], seams * 0.999, seams * 1.001]):
+        want = -4 * math.pi * math.fsum(
+            integrate.quad(lambda k: k * k * np.interp(k, pts[:, 0], pts[:, 1]) * math.exp(-s * k),
+                           lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+            for lo, hi in zip(pts[:-1, 0], pts[1:, 0]))
+        assert ker._pieces(np.array([s]), 3)[0] == pytest.approx(want, rel=1e-12), s
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.indicator(10.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.radial_table(np.column_stack([K64, np.exp(-K64)])),
+], ids=["cutoff1", "cutoff10", "four_pieces", "64_pieces"])
+@pytest.mark.parametrize("horizon", [0.5, 5.0, 30.0])
+def test_h_table_is_within_its_bound(spec, horizon):
+    # the Hermite table of h over [0, 2^ceil(log2 T)] is within its bound
+    # _PHI_TOL norm_inf of h, and reaches a fair share of it (dx is the
+    # largest power of two that meets the bound, so the bound is past
+    # _PHI_TOL norm_inf / 16; the error reaches 0.1-0.8 of the bound here)
+    ker = build_kernel(spec)
+    h = ker._h_dense(horizon)
+    span = 2.0 ** math.ceil(math.log2(horizon))
+    assert ker._h_dense(span) is h  # cached per power-of-two span
+    rng = stream(9, 2)
+    s = np.concatenate([rng.uniform(-span, span, size=40_000),
+                        rng.uniform(0.0, span / 64, size=10_000), [0.0, span, -span]])
+    err = np.max(np.abs(h(s) - ker.h(s)))
+    assert 0.05 / 16 * _PHI_TOL * ker.norm_inf < err <= _PHI_TOL * ker.norm_inf
+    assert h(np.array([2 * span]))[0] == pytest.approx(ker.h(span), rel=1e-12)  # past the end
+
+
+def test_h_table_on_an_h_table_kernel_is_its_pchip(table_kernel):
+    assert table_kernel._h_dense(5.0) == table_kernel.h
+
+
+def test_h_table_builds_in_a_millisecond_and_loads_no_scipy():
+    # the finite-T workload rebuilds its kernel per call, so the T = 5 table
+    # on the cutoff-1 indicator must be cheap: best of 20 builds below 1 ms
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, time\n"
+        "from spinboson.kernel import KernelSpec, build_kernel\n"
+        "best = 1.0\n"
+        "for _ in range(20):\n"
+        "    ker = build_kernel(KernelSpec.indicator(1.0))\n"
+        "    t0 = time.perf_counter(); ker._h_dense(5.0); best = min(best, time.perf_counter() - t0)\n"
+        "print(best, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True)
+    best, mods = out.stdout.split(" ", 1)
+    assert float(best) < 1e-3 and mods.strip() == "[]"
+
+
+def _laplace_window_cdf(y, a, b):
+    """Mass of Laplace(0, 1) on [a, y] and on [a, b], and the share of [a, b]
+    below y counted from the end the draw counts from (a, but b for a window
+    below 0), from the CDF in expm1 forms."""
+    if a >= 0:
+        return math.expm1(a - y) / math.expm1(a - b), -0.5 * math.exp(-a) * math.expm1(a - b)
+    if b < 0:
+        return math.expm1(y - b) / math.expm1(a - b), -0.5 * math.exp(b) * math.expm1(a - b)
+    mass = -0.5 * math.expm1(a) - 0.5 * math.expm1(-b)
+    if y >= 0:
+        below = -0.5 * math.expm1(a) - 0.5 * math.expm1(-y)
+    else:  # y - a carries the rounding of a: past 1 the difference of exps is exact enough
+        below = 0.5 * (math.exp(y) - math.exp(a)) if y - a > 1 else 0.5 * math.exp(a) * math.expm1(y - a)
+    return below / mass, mass
+
+
+LAPLACE_WINDOWS = [(-1.0, 2.0), (-5.0, 0.0), (0.0, 5.0), (-1e-9, 1e-9), (-0.3, 1e-14),
+                   (-700.0, 700.0), (-3.0, -2.0), (0.5, 0.5), (-2.0, -2.0), (0.0, 0.0),
+                   (3.0, 3.0 + 1e-7), (30.0, 80.0), (-40.0, -39.0), (700.0, 720.0)]
+
+
+@pytest.mark.parametrize("a, b", LAPLACE_WINDOWS)
+def test_truncated_laplace_inverts_the_window_cdf(a, b):
+    # windows across 0, in both deep tails, narrow and of width 0, at the
+    # extreme uniforms 0 and 1 - 2^-53 and between: the mass to 1e-15
+    # relative, and each draw at its uniform's share of the window, to the
+    # rounding of the draw itself
+    from spinboson.kernel import _truncated_laplace
+
+    us = np.array([0.0, 1e-300, 1e-17, 1e-9, 0.3, 0.5, 0.77, 1 - 1e-9, 1 - 2.0**-53])
+    y, mass = _truncated_laplace(us, np.full(us.size, a), np.full(us.size, b))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(mass))
+    tol = 4 * np.spacing(np.maximum(abs(a), abs(b)))
+    assert np.all((y >= a - tol) & (y <= b + tol))
+    if b == a:
+        assert np.all(mass == 0.0) and np.all(y == a)
+        return
+    _, want = _laplace_window_cdf(a, a, b)
+    assert np.all(mass == mass[0]) and abs(mass[0] - want) <= 1e-15 * want
+    for u, yy in zip(us, y):
+        share, _ = _laplace_window_cdf(yy, a, b)
+        density = 0.5 * math.exp(-abs(yy)) / want  # of the share, per unit of y
+        assert abs(share - u) <= 1e-15 + 4 * density * np.spacing(abs(yy)), (u, yy)
+
+
+class _Uniforms:
+    """Generator stand-in whose random(n) returns the given uniforms."""
+
+    def __init__(self, us):
+        self.us = np.asarray(us, dtype=float)
+
+    def random(self, size):
+        return np.resize(self.us, size)
+
+
+WINDOWS = np.array([(-1.0, 2.0), (-3.0, 0.5), (-0.01, 0.01), (0.0, 4.0), (-4.0, 0.0),
+                    (0.5, 0.5), (-2.0, -2.0), (3.0, 5.0), (-25.0, -20.0), (40.0, 60.0),
+                    (-600.0, 600.0), (1e-12, 2e-12), (-59.0, 59.5)])
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]],  # the README's
+    [[0.0, 1.0], [1.0, 1e-6], [1000.0, 0.0]],  # first piece falls 1e6-fold
+], ids=["readme", "steep"])
+def test_h_table_window_draw_inverts_the_truncated_cdf(points):
+    # on an h table the windowed draw is the exact inverse of the truncated
+    # CDF from psi: each draw at its uniform's share of the window (read on
+    # the mass beyond past the median), P the psi difference over norm_l1
+    ker = build_kernel(KernelSpec.h_table(points))
+    us = np.array([0.0, 1e-12, 0.2, 0.5, 0.9, 1 - 2.0**-53])
+    lo, hi = np.repeat(WINDOWS[:, 0], us.size), np.repeat(WINDOWS[:, 1], us.size)
+    d, prob = ker._displacement_in(_Uniforms(np.tile(us, len(WINDOWS))), lo, hi)
+    assert np.all((lo <= d) & (d <= hi)) and np.all((prob >= 0.0) & (prob <= 1.0))
+    mass = ker.psi(hi) - ker.psi(lo)
+    np.testing.assert_allclose(prob * ker.norm_l1, mass, rtol=1e-12, atol=1e-15 * ker.norm_l1)
+    share = np.divide(ker.psi(d) - ker.psi(lo), mass, out=np.zeros_like(d), where=mass > 0)
+    u = np.tile(us, len(WINDOWS))
+    u = np.where(hi < 0.0, 1.0 - u, u)  # a window below 0 is counted from its near end
+    live = mass > 1e-9 * ker.norm_l1
+    assert np.max(np.abs(share - u)[live]) < 1e-9
+    assert np.all(d[hi == lo] == lo[hi == lo]) and np.all(prob[hi == lo] == 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.indicator(1.0),
+    KernelSpec.radial_table(FOUR_PIECES),
+    KernelSpec.h_table([[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]]),
+], ids=["indicator", "four_pieces", "readme_h_table"])
+@pytest.mark.parametrize("window", [(-1.0, 2.0), (-6.0, 0.3), (0.0, 4.0), (3.0, 7.0),
+                                    (-30.0, -20.0), (-0.05, 0.05)])
+def test_window_draw_law_matches_the_truncated_cdf(spec, window):
+    # the P-weighted law of the windowed draw is h truncated to the window:
+    # the weighted CDF at five abscissae within 4 sds of psi's, and the
+    # mean of P within 4 sds of the window's share of norm_l1 (on the
+    # form-factor modes P depends on the drawn momentum; on an h table it
+    # is that share exactly)
+    ker = build_kernel(spec)
+    n = 200_000
+    lo, hi = np.full(n, window[0]), np.full(n, window[1])
+    d, prob = ker._displacement_in(stream(10, 1), lo, hi)
+    assert np.all((lo <= d) & (d <= hi))
+    share = (ker.psi(window[1]) - ker.psi(window[0])) / ker.norm_l1
+    assert abs(prob.mean() - share) <= 4 * prob.std() / math.sqrt(n) + 1e-14 * share
+    for x in np.linspace(*window, 7)[1:-1]:
+        want = (ker.psi(x) - ker.psi(window[0])) / ker.norm_l1
+        ind = prob * (d <= x)
+        assert abs(ind.mean() - want) <= 4 * ind.std() / math.sqrt(n) + 1e-14 * share, x
+
+
+@pytest.mark.parametrize("spec", FORM_FACTOR_SPECS.values(), ids=FORM_FACTOR_SPECS.keys())
+def test_window_draw_is_finite_at_extreme_uniforms(spec):
+    # the momentum uniform 1 - u lies in (0, 1], so k > 0; the window draw
+    # stays in its window and P in [0, 1] at u = 0 and 1 - 2^-53
+    ker = build_kernel(spec)
+    lo, hi = np.repeat(WINDOWS[:, 0], 2), np.repeat(WINDOWS[:, 1], 2)
+    d, prob = ker._displacement_in(_ExtremeDraws(), lo, hi)
+    assert np.all((lo <= d) & (d <= hi)) and np.all((prob >= 0.0) & (prob <= 1.0))
+    assert np.all(prob[lo == hi] == 0.0) and np.all(prob[lo < hi] > 0.0)
+
+
+def test_zero_kernel_window_draw_raises(zero_kernel):
+    zero_radial = build_kernel(KernelSpec.radial_table([[0.0, 0.0], [1.0, 0.0]]))
+    for ker in (zero_kernel, zero_radial):
+        with pytest.raises(SamplingError):
+            ker._displacement_in(np.random.default_rng(0), np.zeros(4), np.ones(4))
+
+
+def test_displacement_keeps_its_draws(indicator_kernel):
+    # the unwindowed draw shares the momentum draw with the windowed one and
+    # keeps its order: the momenta from the first call, then the Laplace
+    # variates over them
+    for ker in (indicator_kernel, build_kernel(KernelSpec.radial_table(FOUR_PIECES))):
+        rng = stream(12, 0)
+        k = ker._momenta(rng, 1000)
+        want = rng.laplace(size=1000) / k
+        assert ker.displacement(stream(12, 0), 1000).tobytes() == want.tobytes()
