@@ -186,16 +186,10 @@ def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optio
     an overlap child's uniform on [max(s_parent - l_child, 0),
     min(s_parent + l_parent, room_child)] (weight x that span, or 0), and a
     kernel child's displacement is drawn from the window that puts its
-    start there (Kernel._displacement_in, weight x norm_l1 x the window's
+    start there (Kernel.displacement, weight x norm_l1 x the window's
     probability).  A pair longer than T has room 0 and weight 0.  Every
     endpoint then lies in [0, T], so the deleted kernel factors read the
-    Hermite table Kernel._h_dense(T).  Drawn over the whole line and then
-    masked, as before, 53% of the draws of c_2's two terms with a kernel
-    edge fell outside the box at T = 5 on the cutoff-1 indicator, 80% at
-    T = 2 and 98.5% at T = 0.5.  Variance x CPU seconds at budget 10^5
-    fell 2.3-2.4x for c_2 at T = 5, 3.9-7.4x at T = 2, 6-10x at T = 0.5 and
-    1.4x at T = 30, and 3-10x for c_1 (6 seeds, twice; 1.8-12x on a
-    4-piece radial table).
+    Hermite table Kernel._h_dense(T).
     """
     p = term.p
     opened = term.opened
@@ -211,14 +205,13 @@ def _sample_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon: Optio
             t_parent = s[:, parent] + (lengths[:, parent] if ppt % 2 else 0.0)
             offset = lengths[:, child] if cpt % 2 else 0.0  # child's endpoint less its start
             if horizon is None:
-                t_child = t_parent + kernel.displacement(rng, n)
-                s[:, child] = t_child - offset
-                weight *= kernel.norm_l1
+                d, prob = kernel.displacement(rng, n)
+                s[:, child] = t_parent + d - offset
             else:
                 lo = offset - t_parent  # the displacements that put the start in [0, room]
-                d, prob = kernel._displacement_in(rng, lo, lo + room[:, child])
+                d, prob = kernel.displacement(rng, n, lo, lo + room[:, child])
                 s[:, child] = np.minimum(np.maximum(t_parent + d - offset, 0.0), room[:, child])
-                weight *= kernel.norm_l1 * prob
+            weight *= kernel.norm_l1 * prob
         elif horizon is None:
             span = lengths[:, child] + lengths[:, parent]
             s[:, child] = (s[:, parent] - lengths[:, child]) + rng.random(n) * span

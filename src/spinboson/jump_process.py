@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimateUnreliableError
+from .errors import ConfigError, EstimateUnreliableError
 from .integrator import _order_sum, cluster_terms
 from .kernel import Kernel
 from .rng import mc_mean
@@ -216,12 +216,15 @@ def _action_variance(kernel: Kernel, horizon: float) -> float | None:
     """Exact variance of the action, kappa_2 = Var A = 4 C_2(T), the
     second-order part of log Z: the p = 2 endpoint-order quadrature
     (integrator._order_sum) on momentum_rule(_KAPPA2_NODES), computed once
-    per kernel and horizon.  None on an h table, which has no momentum
-    measure."""
+    per kernel and horizon.  None where kernel.momentum_rule raises
+    ConfigError: an h table has no momentum measure."""
     known = _KAPPA2.setdefault(kernel, {})
     if horizon not in known:
-        known[horizon] = None if kernel.spec.mode == "h_table" else 4.0 * math.fsum(
-            _order_sum(kernel, term, horizon, _KAPPA2_NODES)[0] for term in cluster_terms(2))
+        try:
+            known[horizon] = 4.0 * math.fsum(
+                _order_sum(kernel, term, horizon, _KAPPA2_NODES)[0] for term in cluster_terms(2))
+        except ConfigError:
+            known[horizon] = None
     return known[horizon]
 
 

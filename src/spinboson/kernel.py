@@ -19,11 +19,11 @@ one-piece radial_table [[0, 1], [cutoff, 1]], so spec.mode reads radial_table):
 
 Besides pointwise evaluation, a built kernel carries the L-inf and L1 norms,
 the antiderivatives Psi(s) = int_0^s h (odd) and Phi with Phi'' = h (even,
-Phi(0) = Phi'(0) = 0), and two exact samplers for displacements with density
-h(|s|)/||h||_1: by composition for the form-factor modes (draw the momentum
-k ~ w(k)/int w, then |s| ~ Exp(rate k)) and by the inverse CDF `quantile` for
-h tables; each also draws within a window, with the window's probability
-(`_displacement_in`), for the finite-horizon sampler.
+Phi(0) = Phi'(0) = 0), and one exact sampler, `displacement`, for
+displacements with density h(|s|)/||h||_1 on the whole line or within
+windows, with each window's probability: by composition for the form-factor
+modes (draw the momentum k ~ w(k)/int w, then a Laplace variate of rate k)
+and by the truncated inverse CDF for h tables.
 Kernels are immutable after build (their tables are cached on first use)
 and safe to share across workers.
 
@@ -69,8 +69,8 @@ _BLOCK = 1 << 16  # (piece, element) entries per _pieces block, to 2x
 _PHI_TOL = 1e-11  # phi_dense, _h_dense: their Hermite error bound, per unit of norm_inf
 _PHI_INTERVALS = 1 << 18  # phi_dense, _h_dense: at most this many intervals (8 MiB)
 _PHI_GAUSS = 4  # phi_dense: Gauss-Legendre nodes per interval for the chain of Phi
-_NEWTON_MAX = 8  # quantile: cap on the Newton steps after the Hermite start
-_NEWTON_TOL = 2.0**-26  # quantile: stop once a step is below this share of the bracket
+_NEWTON_MAX = 8  # _invert: cap on the Newton steps after the Hermite start
+_NEWTON_TOL = 2.0**-26  # _invert: stop once a step is below this share of the bracket
 _K_GRADES = 12  # momentum_rule: a piece from k = 0 is graded down to k < 2^-_K_GRADES
 _U_GRADES = 50  # first_order: panels [T 2^-j-1, T 2^-j], j < _U_GRADES, then [0, T 2^-_U_GRADES]
 
@@ -519,25 +519,60 @@ class Kernel:
             self._phi_dense_cache[key] = (_hermite(phi, dx * self.psi(x), steps), dx)
         return self._phi_dense_cache[key]
 
-    def displacement(self, rng, n: int) -> np.ndarray:
-        """n signed displacements with density h(|s|)/||h||_1, from generator rng.
+    def displacement(self, rng, n: int, lo=None, hi=None):
+        """n signed displacements d with density h(|s|)/||h||_1 from generator
+        rng, or, given windows [lo, hi] (1-d arrays of n, lo <= hi), with that
+        density truncated to them; and the probability P of each window (1.0
+        without windows), so that E[norm_l1 P g(d)] is the integral of g h
+        over the window.
 
         On the form-factor modes h(|s|)/||h||_1 is the mixture, over momenta
-        k with density w(k)/int w, of the Laplace law with rate k (Devroye,
-        Non-Uniform Random Variate Generation, 1986, II.4), so the draw is
-        exact: k by the closed-form inverse CDF of the piecewise-linear w,
-        from a uniform on (0, 1] so that k > 0, then L / k with L ~
-        Laplace(0, 1).  An h table has no such mixture; it draws
-        sign * quantile(u).  Either way each displacement takes one draw from
-        each of two generator calls.
+        k ~ w(k)/int w (`_momenta`), of the Laplace law with rate k (Devroye,
+        Non-Uniform Random Variate Generation, 1986, II.4): d = L / k with L ~
+        Laplace(0, 1), or L truncated to [k lo, k hi] by _truncated_laplace,
+        whose mass of the window is P, so the weight is exact given k.  Two
+        generator calls per draw.  On an h table d is the exact inverse CDF
+        of h(|s|) truncated to the window, by one generator call, and P =
+        int_lo^hi h / ||h||_1: a window on one side of 0 is read from Psi, or
+        from the mass beyond once its near end is past the median of |s|, and
+        one across 0 from Psi on each side, then solved by `_invert`.  Without
+        windows the window is the support [-s_last, s_last], where P is 1.0
+        exactly.  d is clipped into its window against rounding; a window of
+        width 0 has P = 0 and d = lo, and one below 0 is drawn from its near
+        end, so there d falls as the uniform rises.
+        Against the exact truncated CDF the Laplace draw and its mass are
+        exact to 1e-15 relative, in both deep tails, for widths down to 1e-9
+        and at the extreme uniforms; the h-table draw meets its uniform's
+        share of the window to 1e-9 and P to 1e-12 relative.  Per draw, in
+        calls of 500 (4000) on a 2-core x86: 70-85 (50-60) ns over the whole
+        line and 110-135 (60-70) ns on windows of the T = 5 sampler on the
+        cutoff-1 indicator, and 600-630 (320-380) ns either way on the
+        README's h table.
         """
         if self._inverse is None:
             raise SamplingError("cannot sample displacements from a zero kernel")
-        if self._pp is not None:
-            mag = self.quantile(rng.random(n))
-            return (rng.integers(0, 2, size=n) * 2 - 1) * mag
-        k = self._momenta(rng, n)
-        return rng.laplace(size=n) / k
+        if self._pp is None:
+            k = self._momenta(rng, n)
+            if lo is None:
+                return rng.laplace(size=n) / k, 1.0
+            y, prob = _truncated_laplace(rng.random(n), k * lo, k * hi)
+            return np.minimum(np.maximum(y / k, lo), hi), prob
+        if lo is None:
+            hi = np.full(n, self.spec.points[-1, 0])
+            lo = -hi
+        u = rng.random(n)
+        flip = hi < 0.0  # mirror a window below 0 onto [a, b], b >= 0
+        a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+        ends = np.concatenate([np.abs(a), b])
+        psi, tail = self._psi_pp(ends), -self._tail_pp(ends)
+        psi_a, psi_b, tail_a, tail_b = psi[:n], psi[n:], tail[:n], tail[n:]
+        across, by_tail = a < 0.0, tail_a < psi_a
+        mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
+        v = u * mass
+        mag = self._invert(~across & by_tail, np.where(
+            across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
+        d = np.where(flip != (across & (v < psi_a)), -mag, mag)
+        return np.minimum(np.maximum(d, lo), hi), np.maximum(mass, 0.0) / self.norm_l1
 
     def _momenta(self, rng, n: int) -> np.ndarray:
         """n momenta k > 0 with density w(k)/int w on the form-factor modes,
@@ -550,53 +585,6 @@ class Kernel:
         t = 2.0 * r / (wa + np.sqrt(np.maximum(wa * wa + 2.0 * dw * r, 0.0)))
         return a + length * np.minimum(t, 1.0)
 
-    def _displacement_in(self, rng, lo, hi):
-        """Displacements d in the windows [lo, hi] (1-d arrays, lo <= hi),
-        drawn from generator rng, and the probability P of each window, for
-        an unbiased weight norm_l1 P in place of norm_l1: E[norm_l1 P g(d)]
-        is the integral of g h over the window.
-
-        On the form-factor modes d is drawn as by `displacement`, but with
-        the Laplace variate of the drawn momentum k truncated to the window
-        (_truncated_laplace at k lo, k hi); P is that Laplace law's mass of
-        the window, so the weight is exact given k, and its mean over k is
-        the window's share of ||h||_1.  On an h table d is the exact inverse
-        CDF of h(|s|) truncated to the window, and P = int_lo^hi h / ||h||_1:
-        a window on one side of 0 is read from Psi, or from the mass beyond
-        once its near end is past the median of |s|, and one across 0 from
-        Psi on each side, then `quantile`'s Newton solve on that mass.
-        Each draw takes two generator calls on the form-factor modes and one
-        on an h table; d is clipped into its window against rounding, and a
-        window of width 0 has P = 0 and d = lo.  A window below 0 is drawn
-        from its near end, so there d falls as the uniform rises.
-        On the windows of the T = 5 sampler, 4000 draws took about 85-110 ns
-        each on the form-factor modes (60-70 ns unwindowed) and 570 ns on
-        the README's h table (350 ns).  Against the exact truncated CDF, the
-        Laplace draw and its mass are exact to 1e-15 relative, in both deep
-        tails, for widths down to 1e-9 and at the extreme uniforms
-        (_truncated_laplace); the h-table draw meets its uniform's share of
-        the window to 1e-9 and P to 1e-12 relative.
-        """
-        if self._inverse is None:
-            raise SamplingError("cannot sample displacements from a zero kernel")
-        if self._pp is None:
-            k = self._momenta(rng, len(lo))
-            y, prob = _truncated_laplace(rng.random(len(lo)), k * lo, k * hi)
-            return np.minimum(np.maximum(y / k, lo), hi), prob
-        u = rng.random(len(lo))
-        flip = hi < 0.0  # mirror a window below 0 onto [a, b], b >= 0
-        a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-        ends = np.concatenate([np.abs(a), b])
-        psi, tail = self._psi_pp(ends), -self._tail_pp(ends)
-        psi_a, psi_b, tail_a, tail_b = psi[: len(a)], psi[len(a):], tail[: len(a)], tail[len(a):]
-        across, by_tail = a < 0.0, tail_a < psi_a
-        mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
-        v = u * mass
-        mag = self._invert(~across & by_tail, np.where(
-            across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
-        d = np.where(flip != (across & (v < psi_a)), -mag, mag)
-        return np.minimum(np.maximum(d, lo), hi), np.maximum(mass, 0.0) / self.norm_l1
-
     def _h_dense(self, span: float):
         """h on |s| <= span, as a function of s: a cubic Hermite table of h
         on [0, 2^ceil(log2 span)] on the form-factor modes, and the PCHIP
@@ -606,10 +594,12 @@ class Kernel:
         both ends, so it is within sup|h''''| dx^4 / 384 of h, where
         sup|h''''| = h''''(0) = 4 pi int k^5 w dk, exact on the pieces.  dx =
         2^-j is the largest power of two that keeps this within
-        _PHI_TOL norm_inf, with at most _PHI_INTERVALS intervals.  Cached per
-        power-of-two span.  The table is phi_dense's (4, n + 1) layout; a
-        call gathers each coefficient at the node index of |s|/dx, an exact
-        scaling, and adds them by Horner.
+        _PHI_TOL norm_inf.  Where that takes more than _PHI_INTERVALS
+        intervals (8 MiB), it is `h` itself, as on an h table: past T = 2048
+        on the cutoff-1 indicator and past T = 16 on a cutoff-100 one.
+        Cached per power-of-two span.  The table is phi_dense's (4, n + 1)
+        layout; a call gathers each coefficient at the node index of |s|/dx,
+        an exact scaling, and adds them by Horner.
         Measured on 4x10^5 points over [0, span] and its first 64 intervals,
         against `h` (bound), for the table at T = 5 and its build in a fresh
         process on a 2-core x86: cutoff-1 indicator, dx 2^-7: 2.03e-11
@@ -617,11 +607,10 @@ class Kernel:
         2^-10: 4.94e-9 (4.96e-9), 256 KiB, 0.8 ms; cutoff 100, 2^-14:
         7.6e-8 (7.6e-8), 4 MiB, 7 ms; FOUR_PIECES of the tests, 2^-8:
         6.2e-11 (6.3e-11), 64 KiB, 0.7 ms; 64 pieces of e^{-k} on [0, 4],
-        2^-9: 1.2e-11 (1.2e-11), 128 KiB, 30 ms.  At T = 30 the cutoff-100
-        table stops at the interval cap, dx 2^-13 (8 MiB, 1.9e-11 norm_inf).
-        A call on 8000 points took about 7 ns per point, against 12-46 ns
-        for `h` on the indicator, whose cost per point at that size depends
-        on the process's allocation history.
+        2^-9: 1.2e-11 (1.2e-11), 128 KiB, 30 ms.  A call on 8000 points took
+        about 7 ns per point, against 12-46 ns for `h` on the indicator,
+        whose cost per point at that size depends on the process's
+        allocation history.
         """
         key = 2.0 ** math.ceil(math.log2(span))
         if key not in self._h_dense_cache:
@@ -629,12 +618,15 @@ class Kernel:
         return self._h_dense_cache[key]
 
     def _hermite_h(self, key: float):
-        """The Hermite table of h on [0, key] for _h_dense, as a function."""
+        """The Hermite table of h on [0, key] for _h_dense, as a function, or
+        `h` where the table would need more than _PHI_INTERVALS intervals."""
         k0, k1 = self._k[:-1], self._k[1:]  # h''''(0) = 4 pi int k^5 w dk, w = alpha + beta k
         h4 = self._alpha @ (k1**6 - k0**6) / 6.0 + self._beta @ (k1**7 - k0**7) / 7.0
         j = max(0, -math.floor(math.log2(key)))  # at least one interval
-        while key * 2.0**j < _PHI_INTERVALS and h4 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf:
+        while key * 2.0**j <= _PHI_INTERVALS and h4 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf:
             j += 1
+        if key * 2.0**j > _PHI_INTERVALS:
+            return self.h
         n, scale = int(key * 2.0**j), 2.0**j
         x = np.arange(n + 1) / scale
         values = self._pieces(x, 2)

@@ -150,13 +150,13 @@ def mc_chunk(kernel: Kernel, term: ClusterTerm, rng, n: int, horizon):
             t_parent = s[:, parent] + (lengths[:, parent] if ppt % 2 else 0.0)
             offset = lengths[:, child] if cpt % 2 else 0.0
             if horizon is None:
-                s[:, child] = t_parent + kernel.displacement(rng, n) - offset
-                weight *= kernel.norm_l1
+                d, prob = kernel.displacement(rng, n)
+                s[:, child] = t_parent + d - offset
             else:
-                d, prob = kernel._displacement_in(rng, offset - t_parent,
-                                                  offset - t_parent + room[:, child])
+                d, prob = kernel.displacement(rng, n, offset - t_parent,
+                                              offset - t_parent + room[:, child])
                 s[:, child] = np.clip(t_parent + d - offset, 0.0, room[:, child])
-                weight *= kernel.norm_l1 * prob
+            weight *= kernel.norm_l1 * prob
         else:
             lo, span = s[:, parent] - lengths[:, child], lengths[:, child] + lengths[:, parent]
             if horizon is not None:

@@ -213,14 +213,7 @@ FORM_FACTOR_SPECS = {
 @pytest.mark.parametrize("spec", FORM_FACTOR_SPECS.values(), ids=FORM_FACTOR_SPECS.keys())
 def test_displacement_matches_density(spec):
     ker = build_kernel(spec)
-    _check_displacement_law(ker, ker.displacement(np.random.default_rng(42), 200_000))
-
-
-def test_h_table_displacement_is_the_quantile_draw(table_kernel, draw_displacement):
-    # no momentum mixture for an h table: sign * quantile(u), in the fixture's draw order
-    a = table_kernel.displacement(stream(7, 0), 1000)
-    b = draw_displacement(table_kernel, stream(7, 0), size=1000)
-    assert np.array_equal(a, b)
+    _check_displacement_law(ker, ker.displacement(np.random.default_rng(42), 200_000)[0])
 
 
 class _ExtremeDraws:
@@ -237,7 +230,7 @@ class _ExtremeDraws:
 @pytest.mark.parametrize("spec", FORM_FACTOR_SPECS.values(), ids=FORM_FACTOR_SPECS.keys())
 def test_displacement_is_finite_at_extreme_uniforms(spec):
     # the momentum uniform lies in (0, 1], so k > 0 even on a piece from k = 0
-    s = build_kernel(spec).displacement(_ExtremeDraws(), 4)
+    s, _ = build_kernel(spec).displacement(_ExtremeDraws(), 4)
     assert np.all(np.isfinite(s)) and np.all(s != 0.0)
 
 
@@ -584,6 +577,16 @@ def test_h_table_on_an_h_table_kernel_is_its_pchip(table_kernel):
     assert table_kernel._h_dense(5.0) == table_kernel.h
 
 
+@pytest.mark.parametrize("cutoff, horizon, last", [(1.0, 65536.0, 2048.0), (100.0, 30.0, 16.0)])
+def test_h_table_past_the_interval_cap_is_h(cutoff, horizon, last):
+    # where the bound needs more than _PHI_INTERVALS intervals, the table is
+    # h itself rather than a coarser table past its bound; up to span
+    # `last` the bound fits within the cap and the table is kept
+    ker = build_kernel(KernelSpec.indicator(cutoff))
+    assert ker._h_dense(horizon) == ker.h
+    assert ker._h_dense(last) != ker.h
+
+
 def test_h_table_builds_in_a_millisecond_and_loads_no_scipy():
     # the finite-T workload rebuilds its kernel per call, so the T = 5 table
     # on the cutoff-1 indicator must be cheap: best of 20 builds below 1 ms
@@ -675,7 +678,7 @@ def test_h_table_window_draw_inverts_the_truncated_cdf(points):
     ker = build_kernel(KernelSpec.h_table(points))
     us = np.array([0.0, 1e-12, 0.2, 0.5, 0.9, 1 - 2.0**-53])
     lo, hi = np.repeat(WINDOWS[:, 0], us.size), np.repeat(WINDOWS[:, 1], us.size)
-    d, prob = ker._displacement_in(_Uniforms(np.tile(us, len(WINDOWS))), lo, hi)
+    d, prob = ker.displacement(_Uniforms(np.tile(us, len(WINDOWS))), len(lo), lo, hi)
     assert np.all((lo <= d) & (d <= hi)) and np.all((prob >= 0.0) & (prob <= 1.0))
     mass = ker.psi(hi) - ker.psi(lo)
     np.testing.assert_allclose(prob * ker.norm_l1, mass, rtol=1e-12, atol=1e-15 * ker.norm_l1)
@@ -693,22 +696,29 @@ def test_h_table_window_draw_inverts_the_truncated_cdf(points):
     KernelSpec.h_table([[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]]),
 ], ids=["indicator", "four_pieces", "readme_h_table"])
 @pytest.mark.parametrize("window", [(-1.0, 2.0), (-6.0, 0.3), (0.0, 4.0), (3.0, 7.0),
-                                    (-30.0, -20.0), (-0.05, 0.05)])
+                                    (-30.0, -20.0), (-0.05, 0.05), None])
 def test_window_draw_law_matches_the_truncated_cdf(spec, window):
     # the P-weighted law of the windowed draw is h truncated to the window:
     # the weighted CDF at five abscissae within 4 sds of psi's, and the
     # mean of P within 4 sds of the window's share of norm_l1 (on the
     # form-factor modes P depends on the drawn momentum; on an h table it
-    # is that share exactly)
+    # is that share exactly); with no window (None) the draw covers the
+    # whole line, from Psi(-inf) = -norm_l1 / 2, and P is 1 exactly
     ker = build_kernel(spec)
     n = 200_000
-    lo, hi = np.full(n, window[0]), np.full(n, window[1])
-    d, prob = ker._displacement_in(stream(10, 1), lo, hi)
-    assert np.all((lo <= d) & (d <= hi))
-    share = (ker.psi(window[1]) - ker.psi(window[0])) / ker.norm_l1
+    if window is None:
+        d, prob = ker.displacement(stream(10, 1), n)
+        assert np.all(prob == 1.0)
+        prob, below, share, xs = np.ones(n), -0.5 * ker.norm_l1, 1.0, np.linspace(-4.0, 4.0, 7)[1:-1]
+    else:
+        lo, hi = np.full(n, window[0]), np.full(n, window[1])
+        d, prob = ker.displacement(stream(10, 1), n, lo, hi)
+        assert np.all((lo <= d) & (d <= hi))
+        below = ker.psi(window[0])
+        share, xs = (ker.psi(window[1]) - below) / ker.norm_l1, np.linspace(*window, 7)[1:-1]
     assert abs(prob.mean() - share) <= 4 * prob.std() / math.sqrt(n) + 1e-14 * share
-    for x in np.linspace(*window, 7)[1:-1]:
-        want = (ker.psi(x) - ker.psi(window[0])) / ker.norm_l1
+    for x in xs:
+        want = (ker.psi(x) - below) / ker.norm_l1
         ind = prob * (d <= x)
         assert abs(ind.mean() - want) <= 4 * ind.std() / math.sqrt(n) + 1e-14 * share, x
 
@@ -719,7 +729,7 @@ def test_window_draw_is_finite_at_extreme_uniforms(spec):
     # stays in its window and P in [0, 1] at u = 0 and 1 - 2^-53
     ker = build_kernel(spec)
     lo, hi = np.repeat(WINDOWS[:, 0], 2), np.repeat(WINDOWS[:, 1], 2)
-    d, prob = ker._displacement_in(_ExtremeDraws(), lo, hi)
+    d, prob = ker.displacement(_ExtremeDraws(), len(lo), lo, hi)
     assert np.all((lo <= d) & (d <= hi)) and np.all((prob >= 0.0) & (prob <= 1.0))
     assert np.all(prob[lo == hi] == 0.0) and np.all(prob[lo < hi] > 0.0)
 
@@ -728,7 +738,7 @@ def test_zero_kernel_window_draw_raises(zero_kernel):
     zero_radial = build_kernel(KernelSpec.radial_table([[0.0, 0.0], [1.0, 0.0]]))
     for ker in (zero_kernel, zero_radial):
         with pytest.raises(SamplingError):
-            ker._displacement_in(np.random.default_rng(0), np.zeros(4), np.ones(4))
+            ker.displacement(np.random.default_rng(0), 4, np.zeros(4), np.ones(4))
 
 
 def test_displacement_keeps_its_draws(indicator_kernel):
@@ -739,4 +749,5 @@ def test_displacement_keeps_its_draws(indicator_kernel):
         rng = stream(12, 0)
         k = ker._momenta(rng, 1000)
         want = rng.laplace(size=1000) / k
-        assert ker.displacement(stream(12, 0), 1000).tobytes() == want.tobytes()
+        d, prob = ker.displacement(stream(12, 0), 1000)
+        assert d.tobytes() == want.tobytes() and prob == 1.0
