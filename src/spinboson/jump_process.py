@@ -28,8 +28,8 @@ columns, so one sequential column reduction adds each path in pair order
 and no path is padded to the longest one in its call.  Phi comes from the
 kernel's cubic Hermite table (Kernel.phi_dense), within 3.05e-11 of Phi in
 128 KiB up to T = 32 on the cutoff-1 indicator, so its gathers hit cache:
-each pair takes its node index from gaps of times scaled exactly by the
-power-of-two node density, and its cubic by Horner.  Estimators
+each pair takes its node index from gaps of times scaled by the node
+density, and its cubic by Horner.  Estimators
 run on rng.mc_mean: each fixed group of batches draws from its own
 counter-keyed stream and batches reduce in fixed order, which makes them
 bit-reproducible for any worker count.
@@ -123,23 +123,19 @@ def sample_path(horizon: float, rng: np.random.Generator) -> SpinPath:
     return SpinPath(sign, np.asarray(jumps), float(horizon))
 
 
-def _boundary_weights(signs, counts, width):
-    """Signed boundary weights w_k = sigma_{k+1} - sigma_k, padded with zeros."""
-    n = len(signs)
-    k = np.arange(width)
-    alt = np.where(k % 2 == 0, 1.0, -1.0)
-    w = 2.0 * signs[:, None] * alt[None, :]
-    w[:, 0] = signs
-    w[np.arange(n), counts + 1] *= 0.5
-    w[k[None, :] > (counts[:, None] + 1)] = 0.0
+def _boundary_weights(m):
+    """Boundary weights w_k = sigma_{k+1} - sigma_k of a path that starts at
+    +1 and jumps m times: 1, -2, 2, ..., and +-1 at its end, m + 2 of them."""
+    w = np.full(m + 2, 2.0)
+    w[1::2] = -2.0
+    w[0], w[-1] = 1.0, 0.5 * w[-1]
     return w
 
 
 def interaction_action(path: SpinPath, kernel: Kernel) -> float:
     """Exact double integral int int X(t) X(s) h(t-s) over [0, horizon]^2."""
     x = np.concatenate([[0.0], path.jump_times, [path.horizon]])
-    counts = np.array([len(path.jump_times)])
-    w = _boundary_weights(np.array([float(path.initial_sign)]), counts, len(x))[0]
+    w = path.initial_sign * _boundary_weights(len(path.jump_times))
     diffs = np.abs(x[:, None] - x[None, :])
     return -float(np.einsum("k,l,kl->", w, w, kernel.phi(diffs)))
 
@@ -169,8 +165,9 @@ def _action_chunk(times, horizon, phi_tab, dx):
     (k, l) table and the weights w_k w_l (even in the sign), so each group
     is summed in blocks of about _PAIR_BLOCK pairs x paths (one path when it
     alone has more), pairs as rows.  A block's boundary times are scaled
-    once by 1/dx, a power of two, so exactly; each pair's node index is its
-    scaled gap truncated, and its cubic is evaluated by Horner from the
+    once by 1/dx (exactly only if dx is a power of two: on the form-factor
+    modes and h tables whose last abscissa is one); each pair's node index
+    is its scaled gap truncated, its cubic is evaluated by Horner from the
     table's four rows.  np.add.reduce(axis=0) adds the rows in order, so
     each path's pairs in order; a lone column it would add pairwise, so a
     one-path block keeps np.cumsum.  Memory is O(n m + _PAIR_BLOCK).
@@ -178,12 +175,12 @@ def _action_chunk(times, horizon, phi_tab, dx):
     counts = (times < horizon).sum(axis=1)
     order = np.argsort(counts, kind="stable")
     ms, starts = np.unique(counts[order], return_index=True)
-    weights = _boundary_weights(np.ones(len(ms)), ms, int(ms[-1]) + 2)
     l_idx, k_idx = np.tril_indices(int(ms[-1]) + 2, -1)  # (1, 0), (2, 0), (2, 1), ...
     out, size = np.empty(len(counts)), max(_PAIR_BLOCK, len(k_idx))
     buf, buf_i = np.empty((3, size)), np.empty(size, np.int64)  # shared by all blocks
     c3, *lower = phi_tab  # c3, then c2, c1, c0 for Horner
-    for m, a, group in zip(ms.tolist(), weights, np.split(order, starts[1:])):
+    for m, group in zip(ms.tolist(), np.split(order, starts[1:])):
+        a = _boundary_weights(m)
         k, l = k_idx[: (m + 2) * (m + 1) // 2], l_idx[: (m + 2) * (m + 1) // 2]
         c, step = (a[k] * a[l])[:, None], max(1, _PAIR_BLOCK // len(k))
         for start in range(0, len(group), step):

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ _AB = np.column_stack([(_N >= 2) * (-1.0) ** _N / (np.maximum(_N, 1) * _FACT),
 _TINY = 1e-300  # floor for logs and divisions
 _ALMOST_M1 = 2.0**-53 - 1.0  # floor for log1p arguments, log1p of it is -36.7
 _BLOCK = 1 << 16  # (piece, element) entries per _pieces block, to 2x
-_PHI_TOL = 1e-11  # phi_dense, _h_dense: their Hermite error bound, per unit of norm_inf
-_PHI_INTERVALS = 1 << 18  # phi_dense, _h_dense: at most this many intervals (8 MiB)
+_PHI_TOL = 1e-11  # _grid: the Hermite tables' error bound, per unit of norm_inf
+_PHI_INTERVALS = 1 << 18  # _grid: at most this many intervals (8 MiB)
 _PHI_GAUSS = 4  # phi_dense: Gauss-Legendre nodes per interval for the chain of Phi
 _NEWTON_MAX = 8  # _invert: cap on the Newton steps after the Hermite start
 _NEWTON_TOL = 2.0**-26  # _invert: stop once a step is below this share of the bracket
@@ -454,22 +455,36 @@ class Kernel:
         out = out.reshape(x.shape)
         return out if out.ndim else float(out)
 
+    def _moment(self, n: int) -> float:
+        """4 pi int k^n w dk, exact on the pieces: h''(0) at n = 3, h''''(0) at 5."""
+        k0, k1 = self._k[:-1], self._k[1:]
+        return sum(c @ (k1**j - k0**j) / j for c, j in ((self._alpha, n + 1), (self._beta, n + 2)))
+
+    def _grid(self, key: float, bound: float, dx: float) -> tuple[int, float, bool]:
+        """(ceil(key / dx), dx, met) for a cubic Hermite table over [0, key] of
+        f with sup|f''''| = bound, whose cubics match f and f' at both ends:
+        each is within bound dx^4 / 384 of f, also where f'''' jumps.  dx
+        halves from the given start, which stays a node, until that is within
+        _PHI_TOL norm_inf or one more halving would pass _PHI_INTERVALS
+        intervals (8 MiB); met says whether the bound holds."""
+        tol = _PHI_TOL * self.norm_inf
+        while bound * dx**4 / 384.0 > tol and 2.0 * key / dx <= _PHI_INTERVALS:
+            dx *= 0.5
+        return math.ceil(key / dx), dx, bound * dx**4 / 384.0 <= tol
+
     def phi_dense(self, span: float) -> tuple[np.ndarray, float]:
         """Cubic Hermite table of Phi covering [0, span], and its node spacing
         dx: row r of the table holds coefficient c_{3-r} of the cubic
         Phi(i dx + u dx) = ((c3 u + c2) u + c1) u + c0, u in [0, 1], of each
-        interval i; a last column (0, 0, 0, Phi(span)) holds the end node.
+        interval i; a last column (0, 0, 0, Phi(n dx)) holds the end node.
 
-        Cached per power-of-two span (at least 1).  Each interval's cubic
-        matches Phi and Psi = Phi' at both ends, so as Phi'''' = h'' it is
-        within sup|h''| dx^4 / 384 of Phi.  dx = 2^-j is the largest power of
-        two that keeps this bound within _PHI_TOL norm_inf; on an h table the
-        last abscissa must also be a node (h drops to 0 there, so Phi is not
-        C^4 across it); and dx shrinks no further once there are
-        _PHI_INTERVALS intervals, which caps the table at 8 MiB up to span
-        2^18.  On the form-factor modes sup|h''| = h''(0) = 4 pi int k^3 w dk,
-        exact on the pieces; on an h table it is the largest |h''| at the
-        ends of the PCHIP cubics.
+        Cached per power-of-two span key (at least 1).  The cubics match Phi
+        and Psi, and Phi'''' = h'', so n and dx are `_grid`'s for sup|h''|:
+        h''(0) = `_moment(3)` from dx = 1 on the form-factor modes; on an h
+        table the largest |h''| at the ends of the PCHIP cubics, from dx =
+        s_last, where h drops to 0, so s_last is a node.  Where the cap stops
+        dx short of the bound, the build warns (UserWarning): on a cutoff-100
+        indicator from span 512 on, whose bound is 1.89e-10 norm_inf.
 
         On the form-factor modes the nodes chain from Phi(0) = 0 by
         _PHI_GAUSS-point Gauss-Legendre of the exact `psi` over each
@@ -484,27 +499,27 @@ class Kernel:
         1.18e-9 (1.19e-9); cutoff 100, 2^-11: 4.6e-8 (4.7e-8); FOUR_PIECES
         of the tests, 2^-8: 2.02e-11 (2.02e-11); 64 pieces of e^{-k} on
         [0, 4], 2^-8: 2.58e-11 (2.59e-11); the README's 3-point h table,
-        2^-8: 4.5e-12.  At span 64 the table is 256 KiB on the cutoff-1
-        indicator, 1 MiB at cutoff 10 and 4 MiB at cutoff 100.
-        phi_dense(30) in a fresh process on a 2-core x86: 6-9 ms on the
-        indicator, and 14-21 ms, 25-36 ms and 0.10-0.15 s on 4, 16 and 64
-        pieces of e^{-k} on [0, 4].
+        2^-8: 4.5e-12; [[0, 1], [0.3, 0.5], [7.3, 0.1]], 7.3 / 2^11:
+        8.2e-12 at every span from 0.5 to 300, in 9 KiB (0.14 ms) at span
+        0.5, 281 KiB (0.6 ms) at 30 and 4.5 MiB (8 ms) at 300.  At span 64
+        the table is 256 KiB on the cutoff-1 indicator, 1 MiB at cutoff 10
+        and 4 MiB at cutoff 100.  phi_dense(30) in a fresh process on a
+        2-core x86: 6-9 ms on the indicator, and 14-21 ms, 25-36 ms and
+        0.10-0.15 s on 4, 16 and 64 pieces of e^{-k} on [0, 4].
         """
         key = int(2.0 ** np.ceil(np.log2(max(span, 1.0))))
         if key not in self._phi_dense_cache:
-            if self._pp is None:  # h''(0) = 4 pi int k^3 w dk, w = alpha + beta k per piece
-                k0, k1 = self._k[:-1], self._k[1:]
-                h2 = self._alpha @ (k1**4 - k0**4) / 4.0 + self._beta @ (k1**5 - k0**5) / 5.0
-                end = 0.0
-            else:  # h'' of each cubic is linear in s, so largest in size at an end
+            if self._pp is None:
+                h2, start = self._moment(3), 1.0
+            else:
                 c3, c2 = self._pp.c[:2]
                 h2 = np.abs(np.concatenate([2.0 * c2, 6.0 * c3 * np.diff(self._pp.x) + 2.0 * c2])).max()
-                end = float(self.spec.points[-1, 0])
-            j = 0
-            while key << j < _PHI_INTERVALS and (
-                    h2 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf or end * 2.0**j % 1.0):
-                j += 1
-            n, dx = key << j, 2.0**-j
+                start = float(self.spec.points[-1, 0])
+            n, dx, met = self._grid(key, h2, start)
+            if not met:
+                warnings.warn(f"the Phi table to span {key} is capped at {_PHI_INTERVALS} intervals: "
+                              f"its error bound is {h2 * dx**4 / 384.0 / self.norm_inf:.3g} norm_inf, "
+                              f"past the tolerance {_PHI_TOL:g}", UserWarning)
             x = np.arange(n + 1) * dx
             if self._pp is None:  # steps int Psi over each interval, chained from Phi(0) = 0
                 nodes, weights = _panel_rule(x, _PHI_GAUSS)
@@ -586,20 +601,15 @@ class Kernel:
         return a + length * np.minimum(t, 1.0)
 
     def _h_dense(self, span: float):
-        """h on |s| <= span, as a function of s: a cubic Hermite table of h
-        on [0, 2^ceil(log2 span)] on the form-factor modes, and the PCHIP
-        itself (`h`) on an h table.  Past the table's end it reads h there.
-
-        Each interval's cubic matches h and h' (row 3 of `_pieces`, exact) at
-        both ends, so it is within sup|h''''| dx^4 / 384 of h, where
-        sup|h''''| = h''''(0) = 4 pi int k^5 w dk, exact on the pieces.  dx =
-        2^-j is the largest power of two that keeps this within
-        _PHI_TOL norm_inf.  Where that takes more than _PHI_INTERVALS
-        intervals (8 MiB), it is `h` itself, as on an h table: past T = 2048
-        on the cutoff-1 indicator and past T = 16 on a cutoff-100 one.
-        Cached per power-of-two span.  The table is phi_dense's (4, n + 1)
-        layout; a call gathers each coefficient at the node index of |s|/dx,
-        an exact scaling, and adds them by Horner.
+        """h on |s| <= span, as a function of s, cached per power-of-two span
+        key: on an h table the PCHIP itself (`h`); on the form-factor modes a
+        cubic Hermite table of h and h' (row 3 of `_pieces`) over [0, key],
+        whose n and dx are `_grid`'s for h''''(0) = `_moment(5)` from
+        dx = min(key, 1), or `h` where that bound needs more than
+        _PHI_INTERVALS intervals: past T = 2048 on the cutoff-1 indicator,
+        T = 16 on cutoff 100.  A call gathers each coefficient of phi_dense's
+        (4, n + 1) layout at the node index of |s|/dx, an exact scaling, and
+        adds them by Horner; past the table's end it reads h there.
         Measured on 4x10^5 points over [0, span] and its first 64 intervals,
         against `h` (bound), for the table at T = 5 and its build in a fresh
         process on a 2-core x86: cutoff-1 indicator, dx 2^-7: 2.03e-11
@@ -613,35 +623,27 @@ class Kernel:
         allocation history.
         """
         key = 2.0 ** math.ceil(math.log2(span))
-        if key not in self._h_dense_cache:
-            self._h_dense_cache[key] = self.h if self._pp is not None else self._hermite_h(key)
-        return self._h_dense_cache[key]
+        if key in self._h_dense_cache:
+            return self._h_dense_cache[key]
+        h = self.h
+        if self._pp is None:
+            n, dx, met = self._grid(key, self._moment(5), min(key, 1.0))
+            if met and n <= _PHI_INTERVALS:
+                scale, x = 1.0 / dx, np.arange(n + 1) * dx
+                values = self._pieces(x, 2)
+                c3, *lower = _hermite(values, self._pieces(x, 3) * dx, np.diff(values))
 
-    def _hermite_h(self, key: float):
-        """The Hermite table of h on [0, key] for _h_dense, as a function, or
-        `h` where the table would need more than _PHI_INTERVALS intervals."""
-        k0, k1 = self._k[:-1], self._k[1:]  # h''''(0) = 4 pi int k^5 w dk, w = alpha + beta k
-        h4 = self._alpha @ (k1**6 - k0**6) / 6.0 + self._beta @ (k1**7 - k0**7) / 7.0
-        j = max(0, -math.floor(math.log2(key)))  # at least one interval
-        while key * 2.0**j <= _PHI_INTERVALS and h4 * 2.0 ** (-4 * j) / 384.0 > _PHI_TOL * self.norm_inf:
-            j += 1
-        if key * 2.0**j > _PHI_INTERVALS:
-            return self.h
-        n, scale = int(key * 2.0**j), 2.0**j
-        x = np.arange(n + 1) / scale
-        values = self._pieces(x, 2)
-        c3, *lower = _hermite(values, self._pieces(x, 3) / scale, np.diff(values))
+                def h(s):
+                    pos = np.minimum(np.abs(s) * scale, float(n))  # exact: scale is a power of two
+                    i = pos.astype(np.intp)
+                    u = pos - i
+                    out = c3[i]
+                    for coef in lower:
+                        out *= u
+                        out += coef[i]
+                    return out
 
-        def h(s):
-            pos = np.minimum(np.abs(s) * scale, float(n))  # exact: scale is a power of two
-            i = pos.astype(np.intp)
-            u = pos - i
-            out = c3[i]
-            for coef in lower:
-                out *= u
-                out += coef[i]
-            return out
-
+        self._h_dense_cache[key] = h  # only once built: worker threads share the kernel
         return h
 
     def quantile(self, u):

@@ -330,7 +330,9 @@ def _padded_action(signs, times, horizon, phi_tab, dx):
     cols = np.arange(m_max)
     x[:, 1 : m_max + 1] = np.where(cols[None, :] < counts[:, None], times[:, :m_max], horizon)
     x[:, m_max + 1] = horizon
-    w = _boundary_weights(signs, counts, m_max + 2)
+    w = np.zeros((len(signs), m_max + 2))
+    for i, m in enumerate(counts):
+        w[i, : m + 2] = signs[i] * _boundary_weights(m)
     phi = hermite_phi(phi_tab, np.abs(x[:, :, None] - x[:, None, :]) / dx)
     return -np.einsum("nkl,nk,nl->n", phi, w, w)
 
@@ -393,7 +395,7 @@ def test_action_chunk_matches_padded_formula_and_scalar_oracle(indicator_kernel)
     counts = (times < horizon).sum(axis=1)
     for i in list(range(4)) + list(range(4, 1024, 61)):
         path = SpinPath(int(signs[i]), times[i, : counts[i]], horizon)
-        w = _boundary_weights(signs[i : i + 1], counts[i : i + 1], counts[i] + 2)[0]
+        w = signs[i] * _boundary_weights(counts[i])
         bound = np.abs(w).sum() ** 2 * (math.pi * dx**4 / 384 + 1e-12)
         assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
 
@@ -404,7 +406,7 @@ def _sequential_action(sign, jumps, horizon, phi_tab, dx):
     a time in the l-major order (1, 0), (2, 0), (2, 1), (3, 0), ...: the
     summation order Z is pinned to."""
     x = np.concatenate([[0.0], jumps, [horizon]])
-    w = _boundary_weights(np.array([sign]), np.array([len(jumps)]), len(x))[0]
+    w = sign * _boundary_weights(len(jumps))
     l, k = np.tril_indices(len(x), -1)
     x = x / dx  # dx is a power of two: exact
     phi = hermite_phi(phi_tab, x[l] - x[k])
@@ -476,7 +478,7 @@ def test_action_chunk_at_a_power_of_two_horizon_reaches_the_table_end(indicator_
     counts = (times < horizon).sum(axis=1)
     for i in range(8):
         path = SpinPath(int(signs[i]), times[i, : counts[i]], horizon)
-        w = _boundary_weights(signs[i : i + 1], counts[i : i + 1], counts[i] + 2)[0]
+        w = signs[i] * _boundary_weights(counts[i])
         bound = np.abs(w).sum() ** 2 * (math.pi * dx**4 / 384 + 1e-12)
         assert abs(got[i] - interaction_action(path, indicator_kernel)) <= bound
 

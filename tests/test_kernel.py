@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from spinboson.errors import ConfigError, SamplingError
-from spinboson.kernel import _PHI_TOL, _SMALL, KernelSpec, build_kernel
+from spinboson.kernel import _PHI_INTERVALS, _PHI_TOL, _SMALL, KernelSpec, build_kernel
 from spinboson.rng import stream
 
 from oracles import hermite_phi
@@ -296,11 +300,12 @@ K64 = np.linspace(0.0, 4.0, 65)
 ], ids=["cutoff1", "cutoff10", "cutoff100", "four_pieces", "64_pieces", "readme_h_table",
         "h_table_ends_off_grid"])
 def test_phi_dense_error_is_within_the_hermite_bound(spec):
-    # on the form-factor modes the error reaches at least 0.3 of the stated
-    # bound h''(0) dx^4 / 384 and not past it, but for the nodes' rounding
-    # (4e-15 of |Phi|), and dx is the largest power of two whose bound is
-    # within _PHI_TOL norm_inf; on every kernel the error is within the
-    # bound of the linear table of 2^20 nodes over [0, 64] that this replaced
+    # the error is within the stated bound sup|h''| dx^4 / 384 but for the
+    # nodes' rounding (4e-15 of |Phi|), the bound is within _PHI_TOL
+    # norm_inf, and the grid is the coarsest that meets it: dx is its start
+    # (1 on the form-factor modes, the last abscissa on an h table), or twice
+    # dx would pass the bound; on the form-factor modes the error reaches at
+    # least 0.3 of the bound
     kernel = build_kernel(spec)
     tab, dx = kernel.phi_dense(30.0)
     rng = stream(9, 0)
@@ -308,17 +313,73 @@ def test_phi_dense_error_is_within_the_hermite_bound(spec):
                         rng.uniform(0.0, 64 * dx, size=20_000)])  # h'' is largest near 0
     phi = kernel.phi(x)
     err = np.abs(hermite_phi(tab, x / dx) - phi)
-    assert np.max(err) <= kernel.norm_inf * (64.0 / (2**20 - 1)) ** 2 / 8
+    pts = spec.points
     if spec.mode == "radial_table":
-        pts = spec.points
         h2 = 4 * math.pi * math.fsum(  # h''(0) = 4 pi int k^3 w dk, the largest |h''|
             integrate.quad(lambda k: k**3 * np.interp(k, pts[:, 0], pts[:, 1]), lo, hi,
                            epsabs=0.0, epsrel=1e-13)[0]
             for lo, hi in zip(pts[:-1, 0], pts[1:, 0]))
-        bound = h2 * dx**4 / 384
-        assert np.max(err - 4e-15 * np.abs(phi)) <= bound
+        start = 1.0
+    else:
+        h2, start = _pchip_h2(pts), pts[-1, 0]
+    bound, tol = h2 * dx**4 / 384, _PHI_TOL * kernel.norm_inf
+    assert np.max(err - 4e-15 * np.abs(phi)) <= bound <= tol
+    assert dx == start or 16 * bound > tol
+    if spec.mode == "radial_table":
         assert np.max(err) >= 0.3 * bound
-        assert bound <= _PHI_TOL * kernel.norm_inf < 16 * bound
+
+
+def _pchip_h2(points):
+    """The largest |h''| of an h table's PCHIP, from scipy's own: h'' is
+    linear on each piece, so it is read at both ends of every piece."""
+    ss = points[:, 0]
+    d2 = PchipInterpolator(ss, points[:, 1]).derivative(2)
+    return max(np.abs(d2(ss[:-1])).max(), np.abs(d2(np.nextafter(ss[1:], 0.0))).max())
+
+
+_OFF_DYADIC = st.floats(0.1, 3.0).filter(lambda v: (v * 1024) % 1)  # not a multiple of 2^-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(_OFF_DYADIC, min_size=1, max_size=5), st.floats(0.5, 10.0),
+       st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5))
+def test_h_table_phi_dense_is_the_coarsest_grid_within_the_bound(steps, h0, ratios):
+    # h tables of 2-6 points at least 0.1 apart, none a multiple of 2^-10,
+    # with h > 0 at the last one, where h drops to 0: at spans 1, 7 and 30
+    # the Phi table meets _PHI_TOL norm_inf but for the nodes' rounding,
+    # holds at most _PHI_INTERVALS intervals and is the coarsest grid that
+    # meets its bound (from dx = the last abscissa, halved)
+    ss = np.cumsum([0.0, *steps])
+    hs = h0 * np.cumprod([1.0, *ratios[: len(steps)]])
+    pts = np.column_stack([ss, hs])
+    kernel = build_kernel(KernelSpec.h_table(pts))
+    h2, tol = _pchip_h2(pts), _PHI_TOL * kernel.norm_inf
+    rng = stream(9, 3)
+    for span in (1.0, 7.0, 30.0):
+        tab, dx = kernel.phi_dense(span)
+        n = tab.shape[1] - 1
+        assert span <= n * dx and n <= _PHI_INTERVALS
+        bound = h2 * dx**4 / 384
+        assert bound <= tol
+        assert dx == ss[-1] or 16 * bound > tol
+        x = np.concatenate([rng.uniform(0.0, n * dx, 2000), rng.uniform(0.0, min(n * dx, ss[-1]), 4000)])
+        phi = kernel.phi(x)
+        assert np.max(np.abs(hermite_phi(tab, x / dx) - phi) - 4e-15 * np.abs(phi)) <= tol
+
+
+def test_phi_dense_warns_once_where_the_interval_cap_stops_dx_short():
+    # on a cutoff-100 indicator the 2^18-interval cap meets the bound up to
+    # span 128 and stops dx short of it at span 512: that build warns, once
+    ker = build_kernel(KernelSpec.indicator(100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ker.phi_dense(128.0)
+    with pytest.warns(UserWarning, match=r"span 512 .* 1\.89e-10 norm_inf, past the tolerance 1e-11") as got:
+        ker.phi_dense(512.0)
+    assert len(got) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ker.phi_dense(300.0)  # the same table, cached
 
 
 def test_phi_dense_loads_no_scipy():
