@@ -24,10 +24,8 @@ window along selected edges, with exact importance weights; the deleted
 cycle-closing kernel factors and the interpolated hardcore factors are
 evaluated at the sampled configuration.  The (-1)^|F| sign is carried
 symbolically so weights stay positive within a term.  At a finite horizon
-every draw is confined to [0, T] (_sample_chunk): the root start, each
-overlap window and each kernel displacement are drawn within the box, with
-the probability of the window in the weight, so no box mask is needed and
-the deleted factors read a cubic Hermite table of h over [0, T].
+every draw is confined to [0, T], with each window's probability in the
+weight (_sample_chunk).
 
 Both routes, and term_integrand, read the overlap factors of a term from
 ClusterTerm.weight: 0 unless every selected pair overlaps and no same-block
@@ -430,16 +428,10 @@ def brute_force_coefficient(
     column-wise by an odd-even transposition network (Knuth, TAOCP Vol. 3,
     5.3.4); scaled by (1/2)^p T^{2p} / p!.  Every pair difference lies in
     [-T, T], so h is read from the Hermite table Kernel._h_dense(T).
-
-    At T = 5 on the cutoff-1 indicator, the variance of a run's mean against
-    as many uniform draws falls 213-225x at p = 1, 17-27x at p = 2 and
-    4.1-5.2x at p = 3, for runs of 2000, 2001 and 4000 points (300 runs
-    each).  At p = 2 a scrambled Sobol set of 2048 points gave 4.1x, and a
-    Korobov lattice 1.5x at 2000 points but 28.7x at the prime 2003: at even
-    N its z_1 - z_0 is even, so the t_1 - t_0 projection, on which the h
-    factor depends, takes only N/2 values.  Batch sizes are rarely prime,
-    and Sobol needs scipy.stats.  Over 20 seeds at budget 2e5, the reported
-    error fell from 0.041 to 0.0030 at p = 1, and from 0.51 to 0.11 at p = 2.
+    At T = 5 on the cutoff-1 indicator the variance of a run's mean falls
+    17-27x at p = 2 against as many uniform draws (300 runs of 2000 to 4000
+    points); the other orders, and the Sobol and Korobov sets that gained
+    less, are in CHANGES.md (the randomized quasi-Monte Carlo entry).
     """
     if p > 3:
         raise ResourceError("raw-series coefficients are limited to p <= 3 (2p-dim integral)")

@@ -26,31 +26,15 @@ boundary pairs, M(M-1)/2 of them for M boundaries: grouped by M, which fixes
 the pairs and weights, in bounded blocks with pairs as rows and paths as
 columns, so one sequential column reduction adds each path in pair order
 and no path is padded to the longest one in its call.  Phi comes from the
-kernel's cubic Hermite table (Kernel.phi_dense), within 3.05e-11 of Phi in
-128 KiB up to T = 32 on the cutoff-1 indicator, so its gathers hit cache:
-each pair takes its node index from gaps of times scaled by the node
-density, and its cubic by Horner.  Estimators
-run on rng.mc_mean: each fixed group of batches draws from its own
-counter-keyed stream and batches reduce in fixed order, which makes them
+kernel's cubic Hermite table (Kernel.phi_dense), 128 KiB up to T = 32 on
+the cutoff-1 indicator, so its gathers hit cache.  Estimators run on
+rng.mc_mean: each fixed group of batches draws from its own counter-keyed
+stream and batches reduce in fixed order, which makes them
 bit-reproducible for any worker count.
 
-The mean and the variance of the action are exact: E[A] = 2 C_1(T) =
-2 int_0^T (T - u) e^{-2u} h(u) du and kappa_2 = Var A = 4 C_2(T), the first
-two cumulant terms of log Z = sum_n c^n kappa_n / n!, c = alpha/2.  So Z
-subtracts the first- and second-order terms of e^{cA} as control variates
-with fixed coefficients: with x = c(A - E[A]) each path contributes
-e^x - x - (x^2 - c^2 kappa_2)/2, and the mean is scaled by e^{c E[A]}.  Its
-error is measured across batches as before, and only the third-order
-fluctuation is left in it.  kappa_2 comes from the p = 2 endpoint-order
-quadrature on the kernel's momentum rule, once per kernel and horizon, so
-Z is biased by at most e^{c E[A]} (c^2/2) |delta kappa_2| for that rule's
-error delta kappa_2 (1.1e-12 at the point below).  h tables have no
-momentum rule and keep the first-order term alone.  At T = 30,
-alpha = R_min/2 and 2048 paths on the cutoff-1 indicator the standard
-error of Z is 1.1e-8, against 1.2e-6 with the first-order term alone
-(1.2e4 in variance) and 1.75e-4 for the plain average of e^{cA} (rms over
-30 and 40 seeds); at larger couplings the gain shrinks with the
-third-order term left: 12 in variance at 16 R_min, 1.2 at 64 R_min.
+The mean and the variance of the action are exact, 2 C_1(T) and
+4 C_2(T), the first two cumulant terms of log Z = sum_n c^n kappa_n / n!,
+c = alpha/2; `estimate_Z` subtracts them as control variates.
 """
 
 from __future__ import annotations
@@ -236,29 +220,21 @@ def estimate_Z(
     """Monte Carlo estimate of Z(alpha, horizon) with batch-means error bars.
 
     With c = alpha/2, the exact mean action A_bar (_mean_action) and
-    x = c(A - A_bar), each path contributes
-
-        e^x - x - (x^2 - c^2 kappa_2)/2,
-
+    x = c(A - A_bar), each path contributes e^x - x - (x^2 - c^2 kappa_2)/2,
     whose mean is e^{-c A_bar} Z because E[x] = 0 and E[x^2] = c^2 kappa_2;
     the batch-means value and error are then scaled by e^{c A_bar}.  These
     are the control variates x and x^2 with fixed coefficients (Glasserman,
-    Monte Carlo Methods in Financial Engineering, 2004, 4.1): the error is
-    still measured across batches, and the draws are those of the plain
-    average of e^{cA}.  kappa_2 = Var A = 4 C_2(T) is the p = 2
+    Monte Carlo Methods in Financial Engineering, 2004, 4.1), on the draws
+    of the plain average of e^{cA}.  kappa_2 = Var A = 4 C_2(T) is the p = 2
     endpoint-order quadrature (_action_variance) at 4 Gauss-Legendre nodes
     per momentum panel, so the estimate is biased by at most
-    e^{c A_bar} (c^2/2) |delta kappa_2|, delta kappa_2 that rule's error:
-    3.6e-8 relative at T = 30 on the cutoff-1 indicator against the 8-node
-    rule, so 1.1e-12 at alpha = R_min/2, where the error is 1.1e-8.
-    An h table has no momentum measure: there each path contributes
-    e^x - x alone, as before the quadratic term was subtracted.
-
-    Variance ratios against the first-order term alone, from the rms error
-    over 30 seeds on the cutoff-1 indicator: 1.2e4 at T = 30, alpha =
-    R_min/2 (2048 paths; the estimates spread by 0.9 times that error);
-    5.3e4 at T = 10, alpha = 3e-4; 12 at T = 30, alpha = 16 R_min; 3.2 at
-    T = 5 with c A_bar = 1; 1.2 at T = 30, alpha = 64 R_min.  Raises
+    e^{c A_bar} (c^2/2) |delta kappa_2| for that rule's error delta kappa_2:
+    1.1e-12 at T = 30, alpha = R_min/2 on the cutoff-1 indicator, where the
+    error is 1.1e-8.  An h table has no momentum measure: there each path
+    contributes e^x - x.  Against the first-order term alone the variance
+    falls 1.2e4x at that point (2048 paths, rms error over 30 seeds); the
+    gain shrinks with the third-order term left, to 1.2x at 64 R_min
+    (BENCH_second_order_cv.json, z_variance_30_seeds).  Raises
     EstimateUnreliableError once |cA| passes 700.
     """
     if samples < 1:

@@ -28,17 +28,12 @@ Kernels are immutable after build (their tables are cached on first use)
 and safe to share across workers.
 
 On the form-factor modes one evaluator, `_pieces`, sums the closed forms of
-Psi, the mass beyond |s|, h or h' over the table pieces: `h` (the pinned
-Monte Carlo calls it) and `psi` take one row each, `phi_dense` calls `psi`,
-`_h_dense` tabulates h from the h and h' rows for the finite-horizon Monte
-Carlo, and `_parts` stacks the first three rows for `quantile` and the
-inverse-CDF build; `phi` sums Ein forms; `momentum_rule` hands out the
-Gauss-Legendre rule for 4 pi k w(k) dk that order-2 quadrature uses, and
-`first_order` is the order-1 time integral, on every mode.
-Against scipy quad of the defining k-integral, at 0, 1e-300, on both sides
-of each piece's series seam and at 150 s from 1e-8 to 700/len, `h` is
-within 6e-16 relative on tables from k = 0 and 7e-14 on one from k = 0.25,
-where e^{-|s|a} at |s|a up to 700 carries |s|a times the rounding of s.
+Psi, the mass beyond |s|, h or h' over the table pieces, and `phi` sums Ein
+forms; `momentum_rule` hands out the Gauss-Legendre rule for 4 pi k w(k) dk
+that order-2 quadrature uses, and `first_order` is the order-1 time
+integral, on every mode.  `h` is within 6e-16 relative of scipy quad of the
+defining k-integral on tables from k = 0 (at 0, 1e-300, both sides of each
+series seam and 150 s up to 700/len); CHANGES.md has the other tables.
 """
 
 from __future__ import annotations
@@ -254,17 +249,6 @@ class Kernel:
             right = [c3, 3.0 * c3 * w + c2, (3.0 * c3 * w + 2.0 * c2) * w + c1,
                      ((c3 * w + c2) * w + c1) * w + c0]
             self._tail_pp = PPoly(np.array(right)[:, ::-1], self._pp.x[::-1]).antiderivative(1)
-            # inverse-CDF nodes: the abscissae, and the midpoints of the brackets
-            # across which h or the mass beyond more than halves, recursively, but
-            # not of those 2^-50 of x wide or with under 2^-50 of the mass beyond
-            nodes = ss
-            for _ in range(64):
-                h, tail = self._pp(nodes), -self._tail_pp(nodes)
-                split = (h[:-1] > 2.0 * h[1:]) | (tail[:-1] > 2.0 * tail[1:])
-                split &= (tail[:-1] > 2.0**-50 * self._mass) & (np.diff(nodes) > 2.0**-50 * nodes[1:])
-                if not split.any():
-                    break
-                nodes = np.union1d(nodes, 0.5 * (nodes[:-1] + nodes[1:])[split])
         else:
             self._pp = None
             k, w = spec.points[:, 0], spec.points[:, 1]
@@ -299,28 +283,8 @@ class Kernel:
             # (mass below it, 4 pi len, wa, dw, a, len)
             cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
             self._momentum = cum[1:], np.column_stack([cum[:-1], c, wa, dw, self._a, self._len])
-            if self._mass > 0.0:  # inverse-CDF nodes: 0, then 32 per octave from 2^-30
-                # Psi(inf)/h(0) to where the mass beyond x, < max(w)/(x int w), is < 2^-54
-                lo = 2.0**-30 * self._mass / float(self.h(0.0))
-                hi = 2.0**54 * 4.0 * np.pi * float(w.max()) / self._mass
-                nodes = np.concatenate([[0.0], np.geomspace(lo, hi, int(32 * np.log2(hi / lo)) + 2)])
         self.norm_inf = float(self.h(0.0))
         self.norm_l1 = 2.0 * self._mass
-        self._inverse = None
-        if self._mass > 0.0:
-            # keys: minus the mass beyond x (for u > 1/2) and Psi (below), joined
-            # into one increasing array; rows [key_i, 1/(key_i+1 - key_i), x_i,
-            # x_i+1 - x_i, m_i, m_i+1], with width 0 at the seam between the two
-            # halves and m = (dkey / dx) / h the Hermite slopes of x(key), which
-            # are capped at 3 so the start stays monotone and inside the bracket
-            psi, tail, h = self._parts(nodes)
-            keys = np.maximum.accumulate(np.concatenate([-tail, psi]))  # rounding can dip
-            dk, xs, hs = np.diff(keys), np.concatenate([nodes, nodes]), np.concatenate([h, h])
-            inv_dk = np.divide(1.0, dk, out=np.zeros_like(dk), where=dk > _TINY)
-            width = np.maximum(np.diff(xs), 0.0)
-            m = [np.divide(dk, hw, out=np.full_like(dk, 3.0), where=3.0 * hw > dk)
-                 for hw in (hs[:-1] * width, hs[1:] * width)]
-            self._inverse = keys, np.column_stack([keys[:-1], inv_dk, xs[:-1], width, *m])
         self._phi_dense_cache: dict[int, tuple[np.ndarray, float]] = {}
         self._h_dense_cache: dict = {}
 
@@ -484,28 +448,14 @@ class Kernel:
         table the largest |h''| at the ends of the PCHIP cubics, from dx =
         s_last, where h drops to 0, so s_last is a node.  Where the cap stops
         dx short of the bound, the build warns (UserWarning): on a cutoff-100
-        indicator from span 512 on, whose bound is 1.89e-10 norm_inf.
-
-        On the form-factor modes the nodes chain from Phi(0) = 0 by
-        _PHI_GAUSS-point Gauss-Legendre of the exact `psi` over each
-        interval, summed in blocks of about sqrt(intervals) and then over
-        the blocks, so they stay within 3e-15 |Phi| of phi() up to span 1024
-        (cutoffs 1, 10 and 100; one cumulative sum drifts to 1.9e-14 at span
-        128 on cutoff 100); no phi() call is made, so the build loads no
-        scipy.  h tables take Phi and Psi from the exact PCHIP
-        antiderivatives.  Measured at span 30 on 2x10^4 points over [0, 32]
-        and 2x10^4 over the first 64 intervals, against phi() (bound):
-        cutoff-1 indicator, dx 2^-7: 3.04e-11 (3.05e-11); cutoff 10, 2^-9:
-        1.18e-9 (1.19e-9); cutoff 100, 2^-11: 4.6e-8 (4.7e-8); FOUR_PIECES
-        of the tests, 2^-8: 2.02e-11 (2.02e-11); 64 pieces of e^{-k} on
-        [0, 4], 2^-8: 2.58e-11 (2.59e-11); the README's 3-point h table,
-        2^-8: 4.5e-12; [[0, 1], [0.3, 0.5], [7.3, 0.1]], 7.3 / 2^11:
-        8.2e-12 at every span from 0.5 to 300, in 9 KiB (0.14 ms) at span
-        0.5, 281 KiB (0.6 ms) at 30 and 4.5 MiB (8 ms) at 300.  At span 64
-        the table is 256 KiB on the cutoff-1 indicator, 1 MiB at cutoff 10
-        and 4 MiB at cutoff 100.  phi_dense(30) in a fresh process on a
-        2-core x86: 6-9 ms on the indicator, and 14-21 ms, 25-36 ms and
-        0.10-0.15 s on 4, 16 and 64 pieces of e^{-k} on [0, 4].
+        indicator from span 512 on.  On the form-factor modes the nodes chain
+        from Phi(0) = 0 by _PHI_GAUSS-point Gauss-Legendre of the exact `psi`
+        over each interval, summed in blocks of about sqrt(intervals), then
+        over the blocks: within 3e-15 |Phi| of phi() up to span 1024, and
+        without phi() or scipy.  h tables take Phi and Psi from the PCHIP.
+        At span 30 on the cutoff-1 indicator the table is within 3.04e-11 of
+        phi() (bound 3.05e-11) in 128 KiB, built in 6-9 ms on a 2-core x86;
+        BENCH_hermite_phi_table.json and CHANGES.md hold the other kernels.
         """
         key = int(2.0 ** np.ceil(np.log2(max(span, 1.0))))
         if key not in self._phi_dense_cache:
@@ -537,9 +487,8 @@ class Kernel:
     def displacement(self, rng, n: int, lo=None, hi=None):
         """n signed displacements d with density h(|s|)/||h||_1 from generator
         rng, or, given windows [lo, hi] (1-d arrays of n, lo <= hi), with that
-        density truncated to them; and the probability P of each window (1.0
-        without windows), so that E[norm_l1 P g(d)] is the integral of g h
-        over the window.
+        density truncated to them; and the probability P of each window, so
+        that E[norm_l1 P g(d)] is the integral of g h over the window.
 
         On the form-factor modes h(|s|)/||h||_1 is the mixture, over momenta
         k ~ w(k)/int w (`_momenta`), of the Laplace law with rate k (Devroye,
@@ -551,20 +500,16 @@ class Kernel:
         int_lo^hi h / ||h||_1: a window on one side of 0 is read from Psi, or
         from the mass beyond once its near end is past the median of |s|, and
         one across 0 from Psi on each side, then solved by `_invert`.  Without
-        windows the window is the support [-s_last, s_last], where P is 1.0
-        exactly.  d is clipped into its window against rounding; a window of
-        width 0 has P = 0 and d = lo, and one below 0 is drawn from its near
-        end, so there d falls as the uniform rises.
+        windows the window is the support [-s_last, s_last] and P is 1.0.  d
+        is clipped into its window against rounding; a window of width 0 has
+        P = 0 and d = lo, and one below 0 is drawn from its near end.
         Against the exact truncated CDF the Laplace draw and its mass are
-        exact to 1e-15 relative, in both deep tails, for widths down to 1e-9
-        and at the extreme uniforms; the h-table draw meets its uniform's
-        share of the window to 1e-9 and P to 1e-12 relative.  Per draw, in
-        calls of 500 (4000) on a 2-core x86: 70-85 (50-60) ns over the whole
-        line and 110-135 (60-70) ns on windows of the T = 5 sampler on the
-        cutoff-1 indicator, and 600-630 (320-380) ns either way on the
-        README's h table.
+        exact to 1e-15 relative, also in the deep tails, and the h-table draw
+        and P to 1e-9 of the uniform's share and 1e-12 relative.  A draw over
+        the whole line on the cutoff-1 indicator takes 70-85 ns in calls of
+        500 on a 2-core x86 (BENCH_one_displacement.json).
         """
-        if self._inverse is None:
+        if self._mass == 0.0:
             raise SamplingError("cannot sample displacements from a zero kernel")
         if self._pp is None:
             k = self._momenta(rng, n)
@@ -572,19 +517,17 @@ class Kernel:
                 return rng.laplace(size=n) / k, 1.0
             y, prob = _truncated_laplace(rng.random(n), k * lo, k * hi)
             return np.minimum(np.maximum(y / k, lo), hi), prob
-        if lo is None:
-            hi = np.full(n, self.spec.points[-1, 0])
-            lo = -hi
+        if lo is None:  # the support, as scalars: its ends are read once
+            lo, hi = -self.spec.points[-1, 0], self.spec.points[-1, 0]
         u = rng.random(n)
         flip = hi < 0.0  # mirror a window below 0 onto [a, b], b >= 0
         a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-        ends = np.concatenate([np.abs(a), b])
-        psi, tail = self._psi_pp(ends), -self._tail_pp(ends)
-        psi_a, psi_b, tail_a, tail_b = psi[:n], psi[n:], tail[:n], tail[n:]
+        ends = np.stack([np.abs(a), b])
+        (psi_a, psi_b), (tail_a, tail_b) = self._psi_pp(ends), -self._tail_pp(ends)
         across, by_tail = a < 0.0, tail_a < psi_a
         mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
         v = u * mass
-        mag = self._invert(~across & by_tail, np.where(
+        mag = self._invert(np.broadcast_to(~across & by_tail, v.shape), np.where(
             across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
         d = np.where(flip != (across & (v < psi_a)), -mag, mag)
         return np.minimum(np.maximum(d, lo), hi), np.maximum(mass, 0.0) / self.norm_l1
@@ -606,21 +549,14 @@ class Kernel:
         cubic Hermite table of h and h' (row 3 of `_pieces`) over [0, key],
         whose n and dx are `_grid`'s for h''''(0) = `_moment(5)` from
         dx = min(key, 1), or `h` where that bound needs more than
-        _PHI_INTERVALS intervals: past T = 2048 on the cutoff-1 indicator,
-        T = 16 on cutoff 100.  A call gathers each coefficient of phi_dense's
-        (4, n + 1) layout at the node index of |s|/dx, an exact scaling, and
-        adds them by Horner; past the table's end it reads h there.
-        Measured on 4x10^5 points over [0, span] and its first 64 intervals,
-        against `h` (bound), for the table at T = 5 and its build in a fresh
-        process on a 2-core x86: cutoff-1 indicator, dx 2^-7: 2.03e-11
-        (2.03e-11; 3.2e-12 norm_inf), 32 KiB, 0.21-0.22 ms; cutoff 10,
-        2^-10: 4.94e-9 (4.96e-9), 256 KiB, 0.8 ms; cutoff 100, 2^-14:
-        7.6e-8 (7.6e-8), 4 MiB, 7 ms; FOUR_PIECES of the tests, 2^-8:
-        6.2e-11 (6.3e-11), 64 KiB, 0.7 ms; 64 pieces of e^{-k} on [0, 4],
-        2^-9: 1.2e-11 (1.2e-11), 128 KiB, 30 ms.  A call on 8000 points took
-        about 7 ns per point, against 12-46 ns for `h` on the indicator,
-        whose cost per point at that size depends on the process's
-        allocation history.
+        _PHI_INTERVALS intervals: past T = 16 on a cutoff-100 indicator.  A
+        call gathers each coefficient of phi_dense's (4, n + 1) layout at the
+        node index of |s|/dx, an exact scaling, and adds them by Horner; past
+        the table's end it reads h there.  At T = 5 on the cutoff-1
+        indicator the table is within 2.03e-11 of `h` (bound 2.03e-11) in
+        32 KiB, built in 0.22 ms, and a call on 8000 points takes about 7 ns
+        a point, against 12-46 ns for `h`; the other kernels' figures are in
+        BENCH_box_sampler.json (h_table).
         """
         key = 2.0 ** math.ceil(math.log2(span))
         if key in self._h_dense_cache:
@@ -647,27 +583,14 @@ class Kernel:
         return h
 
     def quantile(self, u):
-        """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1.
-
-        Brackets u in a table of exact CDF values at fixed nodes: 0 and 32
-        per octave for the form-factor modes; for an h table its abscissae
-        and the midpoints, recursively, of the brackets across which h or the
-        mass beyond more than halves.  Starts from the cubic Hermite
-        interpolant of x(CDF) on the bracket and takes Newton steps on the
-        exact Psi and h; each element stops once its own step is below 2^-26
-        of its bracket (at most 8; 2 on the form-factor modes and 2 or 3 on h
-        tables for uniform draws), so quantile(u)[i] is quantile(u[i]) bit
-        for bit, whatever else u holds.  Above u = 1/2 it solves
-        log(Psi(inf) - Psi(x)) = log((1 - u) Psi(inf)), that mass computed
-        directly, so the tail keeps its relative accuracy.  On 10^5 uniform
+        """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1,
+        solved by `_invert` from the table of `_inverse` (its nodes and
+        layout), from the mass beyond above u = 1/2; quantile(u)[i] is
+        quantile(u[i]) bit for bit, whatever else u holds.  On 10^5 uniform
         draws plus 4000 log-spaced ones reaching 1e-15 from either end, the
         exact CDF is met to 7.2e-16 absolute on each of 21 indicator, radial
-        and h tables (among them h = 1 - s/10 on [0, 10], and tables whose
-        first piece falls from 1 to 1e-6), and to 9e-15 relative to
-        min(u, 1 - u) on the form-factor modes.
+        and h tables.
         """
-        if self._inverse is None:
-            raise SamplingError("cannot sample displacements from a zero kernel")
         u = np.asarray(u, dtype=float)
         shape = u.shape
         u = u.ravel()
@@ -675,9 +598,53 @@ class Kernel:
         x = self._invert(upper, np.where(upper, 1.0 - u, u) * self._mass).reshape(shape)
         return x if x.ndim else float(x)
 
+    @functools.cached_property
+    def _inverse(self):
+        """The inverse-CDF table of `_invert`, built on first use (threads
+        that race on it build the same table); SamplingError on a zero kernel.
+
+        Nodes: on the form-factor modes 0, then 32 per octave from
+        2^-30 Psi(inf)/h(0) to where the mass beyond x, below max(w)/(x int
+        w), falls under 2^-54 of Psi(inf); on an h table the abscissae and
+        the midpoints, recursively, of the brackets across which h or the
+        mass beyond more than halves, but not of those 2^-50 of x wide or
+        with under 2^-50 of the mass beyond.  Keys: minus the mass beyond
+        and then Psi at the nodes, one increasing array; rows [key_i,
+        1/(key_i+1 - key_i), x_i, x_i+1 - x_i, m_i, m_i+1], width 0 at the
+        seam between the halves and m = (dkey/dx)/h the Hermite slopes of
+        x(key), capped at 3 so that the start stays monotone in its bracket.
+        """
+        if self._mass == 0.0:
+            raise SamplingError("cannot sample displacements from a zero kernel")
+        if self._pp is None:
+            lo = 2.0**-30 * self._mass / self.norm_inf
+            hi = 2.0**54 * 4.0 * np.pi * float(self.spec.points[:, 1].max()) / self._mass
+            nodes = np.concatenate([[0.0], np.geomspace(lo, hi, int(32 * np.log2(hi / lo)) + 2)])
+        else:
+            nodes = self.spec.points[:, 0]
+            for _ in range(64):
+                h, tail = self._pp(nodes), -self._tail_pp(nodes)
+                split = (h[:-1] > 2.0 * h[1:]) | (tail[:-1] > 2.0 * tail[1:])
+                split &= (tail[:-1] > 2.0**-50 * self._mass) & (np.diff(nodes) > 2.0**-50 * nodes[1:])
+                if not split.any():
+                    break
+                nodes = np.union1d(nodes, 0.5 * (nodes[:-1] + nodes[1:])[split])
+        psi, tail, h = self._parts(nodes)
+        keys = np.maximum.accumulate(np.concatenate([-tail, psi]))  # rounding can dip
+        dk, xs, hs = np.diff(keys), np.concatenate([nodes, nodes]), np.concatenate([h, h])
+        inv_dk = np.divide(1.0, dk, out=np.zeros_like(dk), where=dk > _TINY)
+        width = np.maximum(np.diff(xs), 0.0)
+        m = [np.divide(dk, hw, out=np.full_like(dk, 3.0), where=3.0 * hw > dk)
+             for hw in (hs[:-1] * width, hs[1:] * width)]
+        return keys, np.column_stack([keys[:-1], inv_dk, xs[:-1], width, *m])
+
     def _invert(self, upper, q):
         """x >= 0 (1-d) with mass q beyond it where `upper`, and with mass q
-        below it (Psi(x) = q) elsewhere: the solve of `quantile`."""
+        below it (Psi(x) = q) elsewhere: from the cubic Hermite start on the
+        bracket of q in `_inverse`, Newton steps on Psi, or on the log of
+        the mass beyond, computed directly, so the tail keeps its relative
+        accuracy.  Each element stops once its own step is below 2^-26 of
+        its bracket (at most 8; 2 or 3 for uniform draws)."""
         keys, rows = self._inverse
         key = np.where(upper, -q, q)
         idx = np.minimum(np.maximum(np.searchsorted(keys, key, side="right") - 1, 0), len(rows) - 1)

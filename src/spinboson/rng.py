@@ -6,13 +6,9 @@ by (seed, *indices).  A stream is a pure function of its key, so estimates
 are bit-identical no matter how work is split across workers: each unit of
 work owns its key and its draws never depend on what other units did.
 
-mc_mean packs consecutive small batches, up to min(chunk, _PACK) samples,
-into one group, and a group is its unit of work with one stream: its
-batches share one call of the estimator's vectorized draw, and each sums
-its own slice of the values.  The grouping depends on (samples, chunk)
-alone, so it cannot make results depend on the workers.
-Where no two consecutive batches fit in min(chunk, _PACK) together, group g
-is batch g, so each batch draws from stream(seed, *key, b) alone.
+mc_mean packs consecutive small batches into groups, its units of work,
+one stream each; the grouping depends on (samples, chunk) alone, so it
+cannot make results depend on the workers.
 
 The run contract: each draw call is told the sizes of the runs that tile
 it, in order.  A packed call covers one run per batch; a lone batch is

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -521,6 +522,29 @@ def test_mc_deterministic_across_workers(indicator_kernel):
     assert (a.value, a.statistical_error) == (b.value, b.statistical_error)
 
 
+@pytest.mark.parametrize("points", [
+    [[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]],
+    [[0.0, 1.0], [0.3, 0.5], [7.3, 0.1]],
+])
+def test_h_table_mc_is_the_same_for_workers_on_fresh_kernels(points, monkeypatch):
+    # the inverse-CDF table is built on first use: at workers=2 inside the
+    # thread pool, where worker threads may race on it, with the same bits
+    # as at workers=1
+    in_main, parts = {}, Kernel._parts
+
+    def recording(self, x):  # a kernel's first _parts call builds its table
+        in_main.setdefault(id(self), threading.current_thread() is threading.main_thread())
+        return parts(self, x)
+
+    monkeypatch.setattr(Kernel, "_parts", recording)
+    kernels = [build_kernel(KernelSpec.h_table(points)) for _ in range(2)]
+    assert not in_main and all("_inverse" not in vars(ker) for ker in kernels)
+    runs = [coefficient(ker, 2, method="mc", budget=20_000, seed=4, workers=workers)
+            for ker, workers in zip(kernels, (1, 2))]
+    assert (runs[0].value, runs[0].statistical_error) == (runs[1].value, runs[1].statistical_error)
+    assert list(in_main.values()) == [True, False]
+
+
 @pytest.mark.parametrize("spec", [
     KernelSpec.indicator(1.0),
     KernelSpec.radial_table([[0.0, 0.0], [0.5, 1.0], [1.0, 0.2], [2.0, 0.0]]),
@@ -552,7 +576,7 @@ def test_form_factor_mc_never_calls_parts(spec, monkeypatch):
     def forbidden(self, x):
         raise AssertionError("Kernel._parts called by Monte Carlo")
 
-    ker = build_kernel(spec)  # the build tabulates the CDF through _parts
+    ker = build_kernel(spec)
     monkeypatch.setattr(Kernel, "_parts", forbidden)
     terms = cluster_terms(3)
     assert any(t.opened.deleted_edges for t in terms)

@@ -9,7 +9,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from spinboson.errors import ConfigError, SamplingError
-from spinboson.kernel import _PHI_INTERVALS, _PHI_TOL, _SMALL, KernelSpec, build_kernel
+from spinboson.kernel import _PHI_INTERVALS, _PHI_TOL, _SMALL, Kernel, KernelSpec, build_kernel
 from spinboson.rng import stream
 
 from oracles import hermite_phi
@@ -547,6 +547,25 @@ def test_radial_table_build_makes_no_quad_call(monkeypatch):
     ker = build_kernel(KernelSpec.radial_table(FOUR_PIECES))
     ker.quantile(0.3)
     ker.phi_dense(10.0)
+
+
+def test_build_makes_no_parts_call(monkeypatch):
+    # the inverse-CDF table, the one reader of Psi and the mass beyond at
+    # build time, is built on first use, so a build never calls _parts
+    def forbidden(self, x):
+        raise AssertionError("Kernel._parts called during the kernel build")
+
+    ks = np.linspace(0.0, 4.0, 65)
+    specs = [KernelSpec.indicator(1.0), KernelSpec.radial_table(np.column_stack([ks, np.exp(-ks)])),
+             KernelSpec.h_table([[0.0, 6.28], [1.0, 3.32], [8.0, 0.19]])]
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "_parts", forbidden)
+        kernels = [build_kernel(spec) for spec in specs]
+    for ker in kernels:
+        x = ker.quantile(0.3)
+        assert ker.psi(x) == pytest.approx(0.15 * ker.norm_l1, rel=1e-12)
+    d, prob = kernels[-1].displacement(stream(5, 0), 1000)
+    assert np.all(np.abs(d) <= 8.0) and np.ndim(prob) == 0 and prob == 1.0
 
 
 @pytest.mark.parametrize("spec", [
