@@ -150,23 +150,9 @@ def _cmd_energy(args):
     return doc, 0
 
 
-def _cmd_counts(args):
-    return verify.census(args.p), 0
-
-
-def _cmd_verify(args):
-    cmd = args.verify_command
-    if cmd == "lemma1":
-        doc = verify.lemma1(args.samples, args.seed, args.tuples, workers=args.workers)
-    elif cmd == "bkar":
-        doc = verify.bkar(args.p, args.trials, args.seed)
-    elif cmd == "resummation":
-        doc = verify.resummation(
-            _load_kernel(args), args.horizon, args.budget, args.seed, workers=args.workers
-        )
-    else:
-        doc = verify.counts(args.p)
-    return doc, 0 if doc["passed"] else 1
+def _suite(run):
+    """The handler of a verify suite: run(args)'s document, exit 1 unless it passed."""
+    return lambda args: (doc := run(args), 0 if doc["passed"] else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallel workers; results are independent of this")
 
     p = sub.add_parser("norms", help="kernel norms")
+    p.set_defaults(run=_cmd_norms)
     add_kernel(p)
 
     p = sub.add_parser("radius", help="convergence-radius certificate")
+    p.set_defaults(run=_cmd_radius)
     add_kernel(p)
     p.add_argument("--gamma", type=float, default=series.DEFAULT_GAMMA)
 
     p = sub.add_parser("simulate", help="Monte Carlo Z(alpha, T)")
+    p.set_defaults(run=_cmd_simulate)
     add_kernel(p)
     add_workers(p)
     p.add_argument("--alpha", type=float, required=True)
@@ -205,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("coefficient", help="connected or raw coefficients")
+    p.set_defaults(run=_cmd_coefficient)
     add_kernel(p)
     add_workers(p)
     p.add_argument("--p", type=int, required=True)
@@ -222,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv is the --per-term table (and needs --per-term)")
 
     p = sub.add_parser("energy", help="truncated energy series")
+    p.set_defaults(run=_cmd_energy)
     add_kernel(p)
     add_workers(p)
     group = p.add_mutually_exclusive_group(required=True)
@@ -234,24 +225,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=series.DEFAULT_GAMMA)
 
     p = sub.add_parser("counts", help="combinatorial census")
+    p.set_defaults(run=lambda args: (verify.census(args.p), 0))
     p.add_argument("--p", type=int, required=True)
 
     v = sub.add_parser("verify", help="verification suites (exit 1 on failure)")
     vsub = v.add_subparsers(dest="verify_command", required=True)
 
     p = vsub.add_parser("lemma1", help="moment closed form vs simulation")
+    p.set_defaults(run=_suite(lambda args: verify.lemma1(args.samples, args.seed, args.tuples,
+                                                         workers=args.workers)))
     add_workers(p)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tuples", type=int, default=20)
 
     p = vsub.add_parser("bkar", help="forest interpolation identity residuals")
+    p.set_defaults(run=_suite(lambda args: verify.bkar(args.p, args.trials, args.seed)))
     add_workers(p)  # accepted for interface uniformity; the check is exact
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
 
     p = vsub.add_parser("resummation", help="raw vs connected coefficients")
+    p.set_defaults(run=_suite(lambda args: verify.resummation(
+        _load_kernel(args), args.horizon, args.budget, args.seed, workers=args.workers)))
     add_kernel(p)
     add_workers(p)
     p.add_argument("--horizon", type=float, nargs="+", default=[2.0, 5.0])
@@ -259,20 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
 
     p = vsub.add_parser("counts", help="combinatorial census checks")
+    p.set_defaults(run=_suite(lambda args: verify.counts(args.p)))
     p.add_argument("--p", type=int, default=4)
 
     return parser
-
-
-_HANDLERS = {
-    "norms": _cmd_norms,
-    "radius": _cmd_radius,
-    "simulate": _cmd_simulate,
-    "coefficient": _cmd_coefficient,
-    "energy": _cmd_energy,
-    "counts": _cmd_counts,
-    "verify": _cmd_verify,
-}
 
 
 def _stochastic_needs_seed(args) -> bool:
@@ -303,7 +290,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = show
-            doc, code = _HANDLERS[args.command](args)
+            doc, code = args.run(args)
     except (ValueError, SamplingError, FileNotFoundError) as exc:  # ConfigError & co. too
         print(f"error: {exc}", file=sys.stderr)
         return 2

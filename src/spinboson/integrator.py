@@ -342,6 +342,10 @@ def integrate_term(
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     _ = term.opened  # raises StructureError for non-connecting terms
+    if method not in ("quad", "mc"):
+        raise ValueError("method must be 'quad' or 'mc'")
+    if method == "quad" and term.p > 2:
+        raise ResourceError("deterministic quadrature supported for p <= 2 only")
     if kernel.norm_inf == 0.0 and kernel.norm_l1 == 0.0:
         # h identically zero wipes every term (each carries p kernel factors)
         return CoefficientEstimate(
@@ -349,8 +353,6 @@ def integrate_term(
             term.p, horizon, None,
         )
     if method == "quad":
-        if term.p > 2:
-            raise ResourceError("deterministic quadrature supported for p <= 2 only")
         route = (partial(kernel.first_order, horizon) if term.p == 1
                  else partial(_order_sum, kernel, term, horizon))
         n_fine, n_coarse = _QUAD_NODES[term.p]
@@ -360,8 +362,6 @@ def integrate_term(
         return CoefficientEstimate(
             value, 0.0, abs(value - coarse), "quadrature", term.p, horizon, warning
         )
-    if method != "mc":
-        raise ValueError("method must be 'quad' or 'mc'")
     _ = term.volumes  # fill the table and pair classes before the batches share them
     value, err = mc_mean(
         lambda rng, runs: _mc_chunk(kernel, term, rng, sum(runs), horizon),

@@ -66,7 +66,7 @@ _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
 _KAPPA2_NODES = 4  # momentum_rule nodes per panel for the action variance
-_KAPPA2 = weakref.WeakKeyDictionary()  # kernel -> {horizon: kappa_2 or None}; kernels are immutable
+_MOMENTS = weakref.WeakKeyDictionary()  # kernel -> {horizon: (E[A], Var A)}; kernels are immutable
 
 
 @dataclass(frozen=True)
@@ -187,25 +187,18 @@ def _action_chunk(times, horizon, phi_tab, dx):
     return -2.0 * out
 
 
-def _mean_action(kernel: Kernel, horizon: float) -> float:
-    """Exact mean action E[A] = 2 C_1(T) (Kernel.first_order), the first-order
-    part of log Z, as E[X(t) X(s)] = e^{-2|t-s|}."""
-    return 2.0 * kernel.first_order(horizon)[0]
-
-
-def _action_variance(kernel: Kernel, horizon: float) -> float | None:
-    """Exact variance of the action, kappa_2 = Var A = 4 C_2(T), the
-    second-order part of log Z: the p = 2 endpoint-order quadrature
-    (integrator._order_sum) on momentum_rule(_KAPPA2_NODES), computed once
-    per kernel and horizon.  None where kernel.momentum_rule raises
-    ConfigError: an h table has no momentum measure."""
-    known = _KAPPA2.setdefault(kernel, {})
+def _action_moments(kernel: Kernel, horizon: float) -> tuple[float, float | None]:
+    """(E[A], Var A), exact and cached per kernel and horizon: 2 C_1(T) by
+    Kernel.first_order and 4 C_2(T) by integrator._order_sum at p = 2 on
+    momentum_rule(_KAPPA2_NODES), or None on an h table, which has no such rule."""
+    known = _MOMENTS.setdefault(kernel, {})
     if horizon not in known:
         try:
-            known[horizon] = 4.0 * math.fsum(
+            kappa2 = 4.0 * math.fsum(
                 _order_sum(kernel, term, horizon, _KAPPA2_NODES)[0] for term in cluster_terms(2))
         except ConfigError:
-            known[horizon] = None
+            kappa2 = None
+        known[horizon] = 2.0 * kernel.first_order(horizon)[0], kappa2
     return known[horizon]
 
 
@@ -219,14 +212,14 @@ def estimate_Z(
 ) -> MCEstimate:
     """Monte Carlo estimate of Z(alpha, horizon) with batch-means error bars.
 
-    With c = alpha/2, the exact mean action A_bar (_mean_action) and
+    With c = alpha/2, the exact mean action A_bar (_action_moments) and
     x = c(A - A_bar), each path contributes e^x - x - (x^2 - c^2 kappa_2)/2,
     whose mean is e^{-c A_bar} Z because E[x] = 0 and E[x^2] = c^2 kappa_2;
     the batch-means value and error are then scaled by e^{c A_bar}.  These
     are the control variates x and x^2 with fixed coefficients (Glasserman,
     Monte Carlo Methods in Financial Engineering, 2004, 4.1), on the draws
     of the plain average of e^{cA}.  kappa_2 = Var A = 4 C_2(T) is the p = 2
-    endpoint-order quadrature (_action_variance) at 4 Gauss-Legendre nodes
+    endpoint-order quadrature (_action_moments) at 4 Gauss-Legendre nodes
     per momentum panel, so the estimate is biased by at most
     e^{c A_bar} (c^2/2) |delta kappa_2| for that rule's error delta kappa_2:
     1.1e-12 at T = 30, alpha = R_min/2 on the cutoff-1 indicator, where the
@@ -245,9 +238,8 @@ def estimate_Z(
         raise ValueError("alpha must be finite")
     phi_tab, dx = kernel.phi_dense(horizon)
     c = 0.5 * alpha
-    c_mean = c * _mean_action(kernel, horizon)
-    kappa2 = _action_variance(kernel, horizon)
-    c2_kappa2 = None if kappa2 is None else c * c * kappa2
+    mean, kappa2 = _action_moments(kernel, horizon)
+    c_mean = c * mean
 
     def draw(rng, runs):
         n = sum(runs)
@@ -259,23 +251,28 @@ def estimate_Z(
                 "exp overflow in Z estimate: alpha * horizon too large"
             )
         centred = expo - c_mean
-        if c2_kappa2 is None:
-            return np.exp(centred) - centred
-        return np.exp(centred) - centred - 0.5 * (centred * centred - c2_kappa2)
+        return np.exp(centred) - centred - (
+            0.0 if kappa2 is None else 0.5 * (centred * centred - c * c * kappa2))
 
     value, se = mc_mean(draw, samples, _CHUNK, seed, _TAG_Z, workers=workers)
     scale = math.exp(c_mean)
     return MCEstimate(scale * value, scale * se, samples, seed)
 
 
-def moment_closed_form(times) -> float:
-    """E[X(t_1)...X(t_q)] for strictly increasing times: exp of -2 times the
-    sum of consecutive-pair gaps for even q, zero for odd q."""
+def _increasing_times(times) -> np.ndarray:
+    """times as a float array: 1-d, at least one, strictly increasing."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("need a 1-D tuple of at least one time")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
+    return t
+
+
+def moment_closed_form(times) -> float:
+    """E[X(t_1)...X(t_q)] for strictly increasing times: exp of -2 times the
+    sum of consecutive-pair gaps for even q, zero for odd q."""
+    t = _increasing_times(times)
     if t.size % 2 == 1:
         return 0.0
     gaps = t[1::2] - t[0::2]
@@ -284,9 +281,9 @@ def moment_closed_form(times) -> float:
 
 def estimate_moment_mc(times, samples: int, seed: int, workers: int = 1) -> MCEstimate:
     """Monte Carlo average of prod_i X(t_i) over simulated paths."""
-    t = np.asarray(times, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
+    t = _increasing_times(times)
+    if t[0] < 0.0:
+        raise ValueError("times must be >= 0: the process starts at 0")
     horizon = float(t[-1])
     q = t.size
 

@@ -117,6 +117,17 @@ def _truncated_laplace(u, a, b):
     return np.where(flip, -y, y), mass
 
 
+def _elementwise(s, f, odd=False):
+    """f(|s|) in the shape of s, times sign(s) if odd, a float for a scalar s;
+    f maps 1-d float arrays elementwise, so Kernel.h, psi, phi and quantile
+    at s[i] equal their value at the scalar s[i] bit for bit."""
+    x = np.asarray(s, dtype=float)
+    out = f(np.abs(x).ravel()).reshape(x.shape)
+    if odd:
+        out = np.sign(x) * out
+    return out if out.ndim else float(out)
+
+
 def _series_below_small(out, x, coefs):
     """Overwrite the stacked closed forms `out` at x < _SMALL by power series."""
     small = x < _SMALL
@@ -296,14 +307,10 @@ class Kernel:
         return np.stack([self._pieces(x, row) for row in range(3)])
 
     def h(self, s):
-        """Kernel value h(s); even in s, nonnegative; h(s)[i] is h(s[i]) bit
-        for bit.  The form-factor modes take row 2 of `_pieces`; h tables use
-        the PCHIP."""
-        x = np.asarray(s, dtype=float)
-        a = np.abs(x).ravel()
-        out = np.maximum(self._pp(a), 0.0) if self._pp is not None else self._pieces(a, 2)
-        out = out.reshape(x.shape)
-        return out if out.ndim else float(out)
+        """Kernel value h(s); even in s, nonnegative.  The form-factor modes
+        take row 2 of `_pieces`; h tables use the PCHIP."""
+        return _elementwise(s, lambda a: np.maximum(self._pp(a), 0.0) if self._pp is not None
+                            else self._pieces(a, 2))
 
     def _pieces(self, x, row):
         """Row `row` of (Psi, Psi(inf) - Psi, h) at x >= 0 (1-d) on the
@@ -394,30 +401,24 @@ class Kernel:
 
     def psi(self, s):
         """First antiderivative int_0^s h; odd in s."""
-        x = np.asarray(s, dtype=float)
-        a = np.abs(x).ravel()
-        out = self._psi_pp(a) if self._pp is not None else self._pieces(a, 0)
-        out = np.sign(x) * out.reshape(x.shape)
-        return out if out.ndim else float(out)
+        return _elementwise(s, lambda a: self._psi_pp(a) if self._pp is not None
+                            else self._pieces(a, 0), odd=True)
 
     def phi(self, s):
         """Second antiderivative with Phi'' = h, Phi(0) = Phi'(0) = 0; even."""
-        x = np.asarray(s, dtype=float)
-        a = np.abs(x).ravel()
-        if self._pp is not None:
-            out = self._phi_pp(a)
-        else:
-            # imported here, not at module load: it is large and only Phi uses it
-            from scipy.special import exp1
+        return _elementwise(s, self._phi_pp if self._pp is not None else self._phi_ein)
 
-            x_k = a[:, None] * self._k  # A(X) = X - Ein(X), B(X) = X^2/2 - X - expm1(-X)
-            xl = np.maximum(x_k, _SMALL)
-            ab = _series_below_small(np.stack([xl - np.euler_gamma - np.log(xl) - exp1(xl),
-                                               xl * (0.5 * xl - 1.0) - np.expm1(-xl)]), x_k, _AB)
-            da, db = np.diff(ab, axis=2)
-            out = da @ self._alpha + db @ self._beta / np.where(a > 0.0, a, 1.0)
-        out = out.reshape(x.shape)
-        return out if out.ndim else float(out)
+    def _phi_ein(self, a):
+        """Phi at a >= 0 (1-d) on the form-factor modes, from its Ein forms."""
+        # imported here, not at module load: it is large and only Phi uses it
+        from scipy.special import exp1
+
+        x_k = a[:, None] * self._k  # A(X) = X - Ein(X), B(X) = X^2/2 - X - expm1(-X)
+        xl = np.maximum(x_k, _SMALL)
+        ab = _series_below_small(np.stack([xl - np.euler_gamma - np.log(xl) - exp1(xl),
+                                           xl * (0.5 * xl - 1.0) - np.expm1(-xl)]), x_k, _AB)
+        da, db = np.diff(ab, axis=2)
+        return da @ self._alpha + db @ self._beta / np.where(a > 0.0, a, 1.0)
 
     def _moment(self, n: int) -> float:
         """4 pi int k^n w dk, exact on the pieces: h''(0) at n = 3, h''''(0) at 5."""
@@ -585,18 +586,13 @@ class Kernel:
     def quantile(self, u):
         """Inverse CDF of |s| under the normalized density h(|s|)/||h||_1,
         solved by `_invert` from the table of `_inverse` (its nodes and
-        layout), from the mass beyond above u = 1/2; quantile(u)[i] is
-        quantile(u[i]) bit for bit, whatever else u holds.  On 10^5 uniform
-        draws plus 4000 log-spaced ones reaching 1e-15 from either end, the
-        exact CDF is met to 7.2e-16 absolute on each of 21 indicator, radial
-        and h tables.
+        layout), from the mass beyond above u = 1/2, for u in [0, 1).  On
+        10^5 uniform draws plus 4000 log-spaced ones reaching 1e-15 from
+        either end, the exact CDF is met to 7.2e-16 absolute on each of 21
+        indicator, radial and h tables.
         """
-        u = np.asarray(u, dtype=float)
-        shape = u.shape
-        u = u.ravel()
-        upper = u > 0.5
-        x = self._invert(upper, np.where(upper, 1.0 - u, u) * self._mass).reshape(shape)
-        return x if x.ndim else float(x)
+        return _elementwise(u, lambda u: self._invert(u > 0.5, np.where(u > 0.5, 1.0 - u, u)
+                                                      * self._mass))
 
     @functools.cached_property
     def _inverse(self):

@@ -150,6 +150,8 @@ def resummation(kernel: Kernel, horizons, budget: int, seed: int, workers: int =
             "order2_sigma": sigma2,
             "order2_ok": bool(ok2),
         })
+    if not checks:  # no horizon: all() of nothing would pass
+        raise ValueError("resummation needs at least one horizon")
     passed = all(c["order1_ok"] and c["order1_quad_crosscheck_ok"] and c["order2_ok"]
                  for c in checks)
     return {"checks": checks, "budget": budget, "passed": passed}

@@ -159,7 +159,7 @@ def test_warning_prints_when_raised(monkeypatch, capsys):
         warnings.warn("first", UserWarning)
         return {}, 0
 
-    monkeypatch.setitem(cli._HANDLERS, "norms", handler)
+    monkeypatch.setattr(cli, "_cmd_norms", handler)
     assert run_cli(["norms"])[0] == 0
     assert capsys.readouterr().err == "warning: first\nafter the warning\n"
 
@@ -331,6 +331,13 @@ def test_verify_library_matches_cli(kernel_cfg):
     ])
     assert code == (0 if doc["passed"] else 1)
     assert printed == doc
+
+
+def test_resummation_without_horizons_is_refused(indicator_kernel):
+    # the CLI's --horizon takes one or more, but the library could pass none
+    # and report passed after no check
+    with pytest.raises(ValueError, match="at least one horizon"):
+        verify.resummation(indicator_kernel, [], 4000, 7)
 
 
 def test_h_table_c2_quadrature_exits_2(tmp_path):

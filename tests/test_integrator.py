@@ -129,6 +129,15 @@ def test_zero_kernel_coefficients_vanish(zero_kernel):
     assert brute_force_coefficient(zero_kernel, 1, 3.0, budget=2_000, seed=1).value == 0.0
 
 
+def test_zero_kernel_checks_the_method_and_order_first(zero_kernel):
+    # a zero kernel makes every term 0, but an unknown method and quadrature
+    # past p = 2 are refused on it as on any other kernel
+    with pytest.raises(ValueError, match="method must be"):
+        integrate_term(zero_kernel, cluster_terms(1)[0], method="bogus")
+    with pytest.raises(ResourceError, match="p <= 2"):
+        coefficient(zero_kernel, 3, method="quad")
+
+
 def test_pinned_p2_overlap_term_against_reduction(indicator_kernel):
     # The base-matching term with the selected overlap edge reduces exactly to
     # -int int (l1 + l2) e^{-2(l1+l2)} h(l1) h(l2) dl1 dl2 (position integral

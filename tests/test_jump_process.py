@@ -12,10 +12,9 @@ from spinboson.jump_process import (
     _TAG_Z,
     SpinPath,
     _action_chunk,
-    _action_variance,
+    _action_moments,
     _boundary_weights,
     _jump_matrix,
-    _mean_action,
     estimate_moment_mc,
     estimate_Z,
     interaction_action,
@@ -184,7 +183,7 @@ def test_mean_action_matches_quad(mean_action_kernels, name, horizon):
 
     want = 2.0 * math.fsum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                            for a, b in zip(cuts[:-1], cuts[1:]))
-    assert _mean_action(kernel, horizon) == pytest.approx(want, rel=1e-13)
+    assert _action_moments(kernel, horizon)[0] == pytest.approx(want, rel=1e-13)
     if kernel.spec.mode == "h_table":
         return
     # on the form-factor modes, the closed form in the momentum:
@@ -212,7 +211,7 @@ def z_path_estimates(indicator_kernel):
 def test_estimate_Z_reported_error_matches_spread(z_path_estimates, indicator_kernel):
     # at the z_path inputs, and at T = 5 with c A_bar = 1, where the error is
     # scaled by e^{c A_bar} = e
-    alpha = 2.0 / _mean_action(indicator_kernel, 5.0)
+    alpha = 2.0 / _action_moments(indicator_kernel, 5.0)[0]
     at_t5 = [estimate_Z(alpha, 5.0, indicator_kernel, samples=2000, seed=s) for s in range(1, 31)]
     for runs in (z_path_estimates, at_t5):
         values = np.array([z.value for z in runs])
@@ -261,7 +260,7 @@ def test_action_variance_matches_sampled_paths(spec, horizon):
     var = float(dev @ dev) / (n - 1)
     sigma = math.sqrt((np.mean(dev**4) - var * var * (n - 3) / (n - 1)) / n)
     c2 = coefficient(kernel, 2, mode="finite", horizon=horizon, method="quad").value
-    for kappa2 in (_action_variance(kernel, horizon), 4.0 * c2):
+    for kappa2 in (_action_moments(kernel, horizon)[1], 4.0 * c2):
         assert abs(var - kappa2) < 3 * sigma
 
 
@@ -269,10 +268,11 @@ def test_estimate_Z_on_an_h_table_keeps_the_first_order_control_variate(table_ke
     # an h table has no momentum measure, so no kappa_2: each path contributes
     # e^x - x, x = c (A - A_bar), as before the quadratic term was subtracted
     alpha, horizon = 3e-4, 5.0
-    assert _action_variance(table_kernel, horizon) is None
+    mean, kappa2 = _action_moments(table_kernel, horizon)
+    assert kappa2 is None
     phi_tab, dx = table_kernel.phi_dense(horizon)
     c = 0.5 * alpha
-    c_mean = c * _mean_action(table_kernel, horizon)
+    c_mean = c * mean
 
     def draw(rng, runs):
         rng.integers(0, 2, size=sum(runs))
@@ -312,6 +312,20 @@ def test_moment_mc_random_tuples_lemma_equivalence():
         est = estimate_moment_mc(t, samples=200_000, seed=100 + trial)
         want = moment_closed_form(t)
         assert abs(est.value - want) < 3 * max(est.std_error, 1e-12)
+
+
+@pytest.mark.parametrize("times,message", [
+    ([], "at least one time"),
+    ([[0.5, 1.0]], "1-D"),
+    ([1.0, 0.5], "strictly increasing"),
+    ([-1.0], ">= 0"),
+    ([-1.0, 0.5], ">= 0"),
+])
+def test_moment_mc_checks_its_times(times, message):
+    # the closed form's checks, and none before t = 0, where the simulated
+    # process starts: [-1, 0.5] would estimate 0.370 against e^-3 = 0.0498
+    with pytest.raises(ValueError, match=message):
+        estimate_moment_mc(times, samples=10, seed=1)
 
 
 def test_moment_mc_deterministic_across_workers():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
@@ -603,6 +604,44 @@ def test_h_is_elementwise(spec, size):
     for i in range(0, xs.size, max(1, xs.size // 2000)):
         assert hs[i] == ker.h(xs[i:i + 1])[0]
         assert psis[i] == ker.psi(xs[i:i + 1])[0]
+
+
+@st.composite
+def _kernels(draw):
+    """An indicator, a radial table of 2-6 points from k in [0, 1] or an h
+    table of 2-6 points, with zeros among the values but not all zero."""
+    mode = draw(st.sampled_from(["indicator", "radial_table", "h_table"]))
+    if mode == "indicator":
+        return build_kernel(KernelSpec.indicator(draw(st.floats(0.1, 100.0))))
+    steps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5))
+    values = [draw(st.floats(0.1, 5.0))] + draw(st.lists(
+        st.just(0.0) | st.floats(0.0, 5.0), min_size=len(steps), max_size=len(steps)))
+    if mode == "radial_table":
+        k = draw(st.floats(0.0, 1.0)) + np.cumsum([0.0, *steps])
+        return build_kernel(KernelSpec.radial_table(np.column_stack([k, values])))
+    return build_kernel(KernelSpec.h_table(np.column_stack([np.cumsum([0.0, *steps]),
+                                                            sorted(values, reverse=True)])))
+
+
+_SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+# +-0, negative values and values past every last abscissa (at most 16 here)
+_TIMES = st.sampled_from([0.0, -0.0, 5e-324, -1e-300]) | st.floats(-60.0, 60.0) | st.floats(-1e4, 1e4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_kernels(), arrays(np.float64, _SHAPES, elements=_TIMES),
+       arrays(np.float64, _SHAPES, elements=st.floats(0.0, 1.0, exclude_max=True)))
+def test_evaluators_keep_the_elementwise_contract(ker, s, u):
+    # h, psi, phi and quantile give at s[i] their value at the scalar s[i],
+    # bit for bit, in the shape of s, and a float for a scalar; psi is odd
+    # and phi even
+    for f, x in ((ker.h, s), (ker.psi, s), (ker.phi, s), (ker.quantile, u)):
+        out, alone = f(x), [f(float(xi)) for xi in x.ravel()]
+        assert all(type(v) is float for v in alone)
+        assert type(out) is float if x.ndim == 0 else out.shape == x.shape
+        assert np.asarray(out).tobytes() == np.array(alone).tobytes()
+    assert np.array_equal(ker.psi(-s), -ker.psi(s))
+    assert np.array_equal(ker.phi(-s), ker.phi(s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +184,16 @@ def test_kronecker_runs_are_uniform_and_independent():
     assert np.all(np.abs(u.mean(axis=0) - 0.5) < 4 * 0.0144)
     assert np.all(np.abs((u * u).mean(axis=0) - 1 / 3) < 4 * 0.0149)
     assert abs(np.corrcoef(u[:, 0, 0], u[:, 3, 0])[0, 1]) < 4 * 0.05
+
+
+def test_stream_tags_are_distinct():
+    # streams are keyed by (seed, tag, ...): two estimators that shared a tag
+    # would draw the same numbers, silently correlated
+    tags = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "spinboson").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                tags.update((f"{path.stem}.{t.id}", ast.literal_eval(node.value))
+                            for t in node.targets if isinstance(t, ast.Name) and t.id.startswith("_TAG_"))
+    assert len(tags) >= 6
+    assert len(set(tags.values())) == len(tags), tags
