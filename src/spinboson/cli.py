@@ -171,8 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_kernel(p):
         p.add_argument("--kernel", help=f"kernel config JSON (default ${KERNEL_ENV})")
 
+    def workers(text):  # fewer than one is a usage error on every subcommand
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError("workers must be >= 1")
+        return int(text)
+
     def add_workers(p):
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=workers, default=1,
                        help="parallel workers; results are independent of this")
 
     p = sub.add_parser("norms", help="kernel norms")
@@ -291,12 +296,9 @@ def main(argv=None) -> int:
             warnings.simplefilter("always", UserWarning)
             warnings.showwarning = show
             doc, code = args.run(args)
-    except (ValueError, SamplingError, FileNotFoundError) as exc:  # ConfigError & co. too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EstimateUnreliableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, SamplingError, FileNotFoundError, EstimateUnreliableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # ConfigError & co. are usage errors: 2
+        return 1 if isinstance(exc, EstimateUnreliableError) else 2
     if doc is not None:
         _emit(doc)
     return code

@@ -196,6 +196,24 @@ class ForestSelection:
         _ = self.block_pairs
         return self.__dict__["path_pairs"]
 
+    def _overlap_code(self, starts, ends):
+        """(allowed, code) for closed intervals [starts, ends] of shape (..., p):
+        allowed where every selected pair overlaps and no block pair does, and
+        code the overlap-pattern code of the path pairs that forest_volume reads."""
+
+        def overlap(i, j):
+            return (starts[..., i] <= ends[..., j]) & (starts[..., j] <= ends[..., i])
+
+        allowed = np.ones(starts.shape[:-1], dtype=bool)
+        for i, j in self.micro_edges:
+            allowed &= overlap(i, j)
+        for i, j in self.block_pairs:
+            allowed &= ~overlap(i, j)
+        code = np.zeros(allowed.shape, dtype=np.intp)
+        for k, ((i, j), _) in enumerate(self.path_pairs):
+            code |= overlap(i, j).astype(np.intp) << k
+        return allowed, code
+
 
 def _forests_on_blocks(k: int, spanning: bool) -> Iterator[tuple[tuple[int, int], ...]]:
     """Acyclic edge subsets of the complete graph on k blocks (trees if spanning)."""
@@ -317,11 +335,9 @@ def forest_volume(selection: ForestSelection, code):
 
 
 def verify_bkar_identity(matching, t) -> float:
-    """|LHS - RHS| of the interpolation identity at a fixed time configuration.
-
-    t lists the 2p times with t[2i] < t[2i+1]; intervals are closed, so
-    endpoint touching counts as overlap.  Orders up to HARD_P_MAX.
-    """
+    """|LHS - RHS| of the interpolation identity at the 2p times t, with
+    t[2i] < t[2i+1] and closed intervals (touching counts as overlap), each
+    selection weighed by its _overlap_code; orders up to HARD_P_MAX."""
     p = _validate_matching(matching)
     check_order(p, HARD_P_MAX)
     t = np.asarray(t, dtype=float)
@@ -330,15 +346,11 @@ def verify_bkar_identity(matching, t) -> float:
     starts, ends = t[0::2], t[1::2]
     if np.any(starts >= ends):
         raise ValueError("each interval needs t_{2i} < t_{2i+1}")
-    overlap = (starts[:, None] <= ends) & (starts <= ends[:, None])
-    np.fill_diagonal(overlap, False)
-    lhs = float(not overlap.any())
+    lhs = float(((starts[:, None] <= ends) & (starts <= ends[:, None])).sum() == p)  # self only
 
     rhs = 0.0
     for sel in enumerate_forest_selections(matching, connecting_only=False):
-        # each selected pair must overlap (derivative factor), no same-block pair may
-        if all(overlap[e] for e in sel.micro_edges) and not any(
-                overlap[e] for e in sel.block_pairs):
-            code = sum(int(overlap[e]) << k for k, (e, _) in enumerate(sel.path_pairs))
-            rhs += (-1.0) ** len(sel.micro_edges) * forest_volume(sel, code)
+        allowed, code = sel._overlap_code(starts, ends)
+        if allowed:
+            rhs += (-1.0) ** len(sel.micro_edges) * forest_volume(sel, int(code))
     return abs(lhs - rhs)

@@ -40,7 +40,6 @@ c = alpha/2; `estimate_Z` subtracts them as control variates.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,6 @@ _TAG_Z = 1
 _TAG_MOMENT = 2
 _EXP_LIMIT = 700.0
 _KAPPA2_NODES = 4  # momentum_rule nodes per panel for the action variance
-_MOMENTS = weakref.WeakKeyDictionary()  # kernel -> {horizon: (E[A], Var A)}; kernels are immutable
 
 
 @dataclass(frozen=True)
@@ -188,18 +186,17 @@ def _action_chunk(times, horizon, phi_tab, dx):
 
 
 def _action_moments(kernel: Kernel, horizon: float) -> tuple[float, float | None]:
-    """(E[A], Var A), exact and cached per kernel and horizon: 2 C_1(T) by
+    """(E[A], Var A), exact and cached on the kernel per horizon: 2 C_1(T) by
     Kernel.first_order and 4 C_2(T) by integrator._order_sum at p = 2 on
     momentum_rule(_KAPPA2_NODES), or None on an h table, which has no such rule."""
-    known = _MOMENTS.setdefault(kernel, {})
-    if horizon not in known:
+    if ("moments", horizon) not in kernel._cache:
         try:
             kappa2 = 4.0 * math.fsum(
                 _order_sum(kernel, term, horizon, _KAPPA2_NODES)[0] for term in cluster_terms(2))
         except ConfigError:
             kappa2 = None
-        known[horizon] = 2.0 * kernel.first_order(horizon)[0], kappa2
-    return known[horizon]
+        kernel._cache["moments", horizon] = 2.0 * kernel.first_order(horizon)[0], kappa2
+    return kernel._cache["moments", horizon]
 
 
 def estimate_Z(

@@ -86,13 +86,12 @@ def _hermite(values, slopes, steps):
 
 
 def _truncated_laplace(u, a, b):
-    """Laplace(0, 1) variates truncated to [a, b] (a <= b, 1-d), by the
-    closed-form inverse CDF at the uniforms u in [0, 1), and the mass of
+    """Laplace(0, 1) variates truncated to [a, b] (a <= b, b >= 0, 1-d), by
+    the closed-form inverse CDF at the uniforms u in [0, 1), and the mass of
     [a, b].
 
-    A window below 0 is mirrored above it.  Then [a, b] holds
-    R = e^{-c} (-expm1(c - b)) / 2 on [c, b], c = max(a, 0), and
-    L = -expm1(min(a, 0)) / 2 on [a, 0].  With v = u (L + R) - L, a draw
+    [a, b] holds R = e^{-c} (-expm1(c - b)) / 2 on [c, b], c = max(a, 0),
+    and L = -expm1(min(a, 0)) / 2 on [a, 0].  With v = u (L + R) - L, a draw
     with v < 0 lies below 0 at log1p(2v), and one with v >= 0 at
     c - log1p((v / R) expm1(c - b)), counted from c.  So a window on one
     side keeps its mass and draws to relative accuracy in the far tails
@@ -103,18 +102,16 @@ def _truncated_laplace(u, a, b):
     the extreme uniforms, within e^-36.7 of mass of the far end; they can
     leave [a, b] by rounding.
     """
-    flip = b < 0.0
-    lo, hi = np.where(flip, -b, a), np.where(flip, -a, b)
-    c = np.maximum(lo, 0.0)
-    em = np.expm1(c - hi)
+    c = np.maximum(a, 0.0)
+    em = np.expm1(c - b)
     right = -0.5 * np.exp(-c) * em
-    left = -0.5 * np.expm1(np.minimum(lo, 0.0))
+    left = -0.5 * np.expm1(np.minimum(a, 0.0))
     mass = left + right
     v = u * mass - left
     frac = np.divide(v, right, out=np.zeros_like(v), where=right > 0.0)
     y = np.where(v < 0.0, np.log1p(np.maximum(2.0 * v, _ALMOST_M1)),
                  c - np.log1p(np.maximum(frac * em, _ALMOST_M1)))
-    return np.where(flip, -y, y), mass
+    return y, mass
 
 
 def _elementwise(s, f, odd=False):
@@ -296,8 +293,8 @@ class Kernel:
             self._momentum = cum[1:], np.column_stack([cum[:-1], c, wa, dw, self._a, self._len])
         self.norm_inf = float(self.h(0.0))
         self.norm_l1 = 2.0 * self._mass
-        self._phi_dense_cache: dict[int, tuple[np.ndarray, float]] = {}
-        self._h_dense_cache: dict = {}
+        # (kind, key) -> table or value, stored only once built: worker threads share the kernel
+        self._cache: dict = {}
 
     def _parts(self, x):
         """Psi, Psi(inf) - Psi and h at x >= 0 (1-d), stacked; the middle row
@@ -459,7 +456,7 @@ class Kernel:
         BENCH_hermite_phi_table.json and CHANGES.md hold the other kernels.
         """
         key = int(2.0 ** np.ceil(np.log2(max(span, 1.0))))
-        if key not in self._phi_dense_cache:
+        if ("phi", key) not in self._cache:
             if self._pp is None:
                 h2, start = self._moment(3), 1.0
             else:
@@ -482,8 +479,8 @@ class Kernel:
             else:
                 phi = self._phi_pp(x)
                 steps = np.diff(phi)
-            self._phi_dense_cache[key] = (_hermite(phi, dx * self.psi(x), steps), dx)
-        return self._phi_dense_cache[key]
+            self._cache["phi", key] = (_hermite(phi, dx * self.psi(x), steps), dx)
+        return self._cache["phi", key]
 
     def displacement(self, rng, n: int, lo=None, hi=None):
         """n signed displacements d with density h(|s|)/||h||_1 from generator
@@ -501,9 +498,9 @@ class Kernel:
         int_lo^hi h / ||h||_1: a window on one side of 0 is read from Psi, or
         from the mass beyond once its near end is past the median of |s|, and
         one across 0 from Psi on each side, then solved by `_invert`.  Without
-        windows the window is the support [-s_last, s_last] and P is 1.0.  d
-        is clipped into its window against rounding; a window of width 0 has
-        P = 0 and d = lo, and one below 0 is drawn from its near end.
+        windows the window is the support [-s_last, s_last] and P is 1.0.  A
+        window below 0 is drawn mirrored above it, so from its near end, and
+        d is clipped into it against rounding; width 0 gives P = 0, d = lo.
         Against the exact truncated CDF the Laplace draw and its mass are
         exact to 1e-15 relative, also in the deep tails, and the h-table draw
         and P to 1e-9 of the uniform's share and 1e-12 relative.  A draw over
@@ -516,22 +513,24 @@ class Kernel:
             k = self._momenta(rng, n)
             if lo is None:
                 return rng.laplace(size=n) / k, 1.0
-            y, prob = _truncated_laplace(rng.random(n), k * lo, k * hi)
-            return np.minimum(np.maximum(y / k, lo), hi), prob
-        if lo is None:  # the support, as scalars: its ends are read once
+        elif lo is None:  # the support, as scalars: its ends are read once
             lo, hi = -self.spec.points[-1, 0], self.spec.points[-1, 0]
         u = rng.random(n)
         flip = hi < 0.0  # mirror a window below 0 onto [a, b], b >= 0
         a, b = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
-        ends = np.stack([np.abs(a), b])
-        (psi_a, psi_b), (tail_a, tail_b) = self._psi_pp(ends), -self._tail_pp(ends)
-        across, by_tail = a < 0.0, tail_a < psi_a
-        mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
-        v = u * mass
-        mag = self._invert(np.broadcast_to(~across & by_tail, v.shape), np.where(
-            across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
-        d = np.where(flip != (across & (v < psi_a)), -mag, mag)
-        return np.minimum(np.maximum(d, lo), hi), np.maximum(mass, 0.0) / self.norm_l1
+        if self._pp is None:
+            y, prob = _truncated_laplace(u, k * a, k * b)
+            d = y / k
+        else:
+            ends = np.stack([np.abs(a), b])
+            (psi_a, psi_b), (tail_a, tail_b) = self._psi_pp(ends), -self._tail_pp(ends)
+            across, by_tail = a < 0.0, tail_a < psi_a
+            mass = np.where(across, psi_a + psi_b, np.where(by_tail, tail_a - tail_b, psi_b - psi_a))
+            v, prob = u * mass, np.maximum(mass, 0.0) / self.norm_l1
+            mag = self._invert(np.broadcast_to(~across & by_tail, v.shape), np.where(
+                across, np.abs(v - psi_a), np.where(by_tail, tail_a - v, psi_a + v)))
+            d = np.where(across & (v < psi_a), -mag, mag)
+        return np.minimum(np.maximum(np.where(flip, -d, d), lo), hi), prob
 
     def _momenta(self, rng, n: int) -> np.ndarray:
         """n momenta k > 0 with density w(k)/int w on the form-factor modes,
@@ -560,8 +559,8 @@ class Kernel:
         BENCH_box_sampler.json (h_table).
         """
         key = 2.0 ** math.ceil(math.log2(span))
-        if key in self._h_dense_cache:
-            return self._h_dense_cache[key]
+        if ("h", key) in self._cache:
+            return self._cache["h", key]
         h = self.h
         if self._pp is None:
             n, dx, met = self._grid(key, self._moment(5), min(key, 1.0))
@@ -580,7 +579,7 @@ class Kernel:
                         out += coef[i]
                     return out
 
-        self._h_dense_cache[key] = h  # only once built: worker threads share the kernel
+        self._cache["h", key] = h
         return h
 
     def quantile(self, u):

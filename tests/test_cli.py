@@ -103,6 +103,46 @@ def test_coefficient_csv_needs_per_term(kernel_cfg, capsys):
     assert "--per-term" in capsys.readouterr().err
 
 
+
+def test_coefficient_per_term_json_lists_every_term(kernel_cfg):
+    # without --output csv the per-term estimates ride in the JSON document,
+    # one per connecting term, and sum to the total
+    code, doc = run_json(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--method", "mc",
+                          "--budget", "2000", "--seed", "3", "--per-term"])
+    assert code == 0 and len(doc["terms"]) == 3  # three connecting terms at order 2
+    assert math.fsum(t["value"] for t in doc["terms"]) == doc["value"]
+    assert all(t["p"] == 2 and t["method"] == "monte_carlo" for t in doc["terms"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bkar", "--p", "3", "--trials", "2", "--seed", "1"],
+    ["coefficient", "--p", "2", "--method", "quad"],
+    ["energy", "--alpha", "1e-4", "--pmax", "2", "--method", "quad"],
+])
+def test_workers_below_one_is_a_usage_error(kernel_cfg, argv, capsys, monkeypatch):
+    # these commands never reach rng.map_batches, whose own check refuses it,
+    # so they ran with --workers 0 and exited 0; argparse now refuses it
+    monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)
+    for workers in ("0", "-1"):
+        code, out = run_cli(argv + ["--workers", workers])
+        assert code == 2 and out == ""
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+
+def test_raw_needs_a_finite_horizon(kernel_cfg, capsys):
+    code, out = run_cli(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--raw", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert "--raw needs --finite-T" in capsys.readouterr().err
+
+
+def test_unreliable_estimate_exits_1(kernel_cfg, capsys):
+    # an exponent past the overflow limit is an estimate failure, not a usage error
+    code, out = run_cli(["simulate", "--kernel", kernel_cfg, "--alpha", "1e6", "--horizon", "10",
+                         "--samples", "200", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: exp overflow in Z estimate")
+
+
 def test_raw_coefficient_within_p_max_runs(kernel_cfg):
     # --p-max bounds the raw order as it bounds the connected one
     code, doc = run_json(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--finite-T", "3",

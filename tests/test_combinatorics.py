@@ -90,6 +90,13 @@ def test_partition_join_crossing_merges():
     assert blocks.block_of == (0, 0)
 
 
+
+@pytest.mark.parametrize("matching", [((0, 2), (1, 2)), ((0, 1), (2, 4)), ((0, 1),) * 2])
+def test_partition_join_rejects_a_non_matching(matching):
+    with pytest.raises(ValueError, match="not a perfect matching"):
+        partition_join(matching)
+
+
 def test_cycle_supports_are_even():
     # every P-edge closes inside one block, so each block is a union of cycles
     for p in (2, 3, 4):
@@ -365,6 +372,13 @@ def test_bkar_identity_random_p3():
 def test_bkar_identity_rejects_bad_intervals():
     with pytest.raises(ValueError):
         verify_bkar_identity(base_matching(2), [1.0, 0.5, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+                               [[0.0, 1.0], [2.0, 3.0]]])
+def test_bkar_identity_needs_2p_times(t):
+    with pytest.raises(ValueError, match="need 2p times"):
+        verify_bkar_identity(base_matching(2), t)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

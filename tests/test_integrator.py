@@ -764,3 +764,9 @@ def test_budget_below_one_rejected(indicator_kernel, budget):
                         budget=budget)
     with pytest.raises(ValueError):
         brute_force_coefficient(indicator_kernel, 1, 3.0, budget=budget)
+
+
+@pytest.mark.parametrize("mode", ["infinite", "Pinned", None])
+def test_unknown_mode_rejected(indicator_kernel, mode):
+    with pytest.raises(ValueError, match="mode must be 'pinned' or 'finite'"):
+        integrate_term(indicator_kernel, _single_term(2), mode=mode, budget=10)

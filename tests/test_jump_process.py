@@ -145,6 +145,12 @@ def test_estimate_Z_overflow_reported(indicator_kernel):
         estimate_Z(1e6, 10.0, indicator_kernel, samples=200, seed=3)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_estimate_Z_needs_a_sample(indicator_kernel, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        estimate_Z(1e-4, 5.0, indicator_kernel, samples=samples, seed=1)
+
+
 def test_estimate_Z_agrees_with_naive_path_average(indicator_kernel):
     alpha, horizon = 5e-4, 3.0
     est = estimate_Z(alpha, horizon, indicator_kernel, samples=40_000, seed=21)

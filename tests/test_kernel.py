@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -117,6 +118,93 @@ def test_malformed_kernel_configs_are_config_errors(doc):
     # full table row reads as nan, which validation rejects
     with pytest.raises(ConfigError):
         build_kernel(KernelSpec.from_dict(doc))
+
+
+@st.composite
+def _valid_table(draw):
+    """A valid radial_table (from k in [0, 1]) or h_table of 2-6 points, as
+    (mode, points), with zeros among the values."""
+    mode = draw(st.sampled_from(["radial_table", "h_table"]))
+    steps = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5))
+    values = draw(st.lists(st.just(0.0) | st.floats(0.0, 5.0),
+                           min_size=len(steps) + 1, max_size=len(steps) + 1))
+    if mode == "h_table":
+        return mode, np.column_stack([np.cumsum([0.0, *steps]), sorted(values, reverse=True)])
+    return mode, np.column_stack([draw(st.floats(0.0, 1.0)) + np.cumsum([0.0, *steps]), values])
+
+
+def _break_rule(draw, rule, mode, pts):
+    """The config document of the valid table (mode, pts) with `rule` broken,
+    and the message that names the rule."""
+    pts, i = pts.copy(), draw(st.integers(0, len(pts) - 2))
+    if rule == "object":
+        doc = draw(st.sampled_from([[], "radial_table", 3, None, {"points": pts.tolist()}]))
+        return doc, "must be an object with a 'mode' key"
+    if rule == "key":
+        return {"mode": draw(st.sampled_from(["indicator", "radial_table", "h_table"]))}, "needs"
+    if rule == "mode":
+        mode = draw(st.sampled_from(["", "indicator ", "H_TABLE", "gaussian"]))
+        return {"mode": mode, "points": pts.tolist()}, "unknown kernel mode"
+    if rule == "shape":
+        pts = draw(st.sampled_from([pts[:1], pts.ravel(), np.column_stack([pts, pts[:, 1]])]))
+        return {"mode": mode, "points": pts.tolist()}, "an (n>=2, 2) points array"
+    if rule == "finite":
+        pts[i + draw(st.integers(0, 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        message = "must be finite"
+    elif rule == "increasing":
+        pts[i + 1, 0] = pts[i, 0] - draw(st.floats(0.0, 1.0))
+        message = "abscissae must be strictly increasing"
+    elif rule == "nonnegative":
+        pts[i + draw(st.integers(0, 1)), 1] = -draw(st.floats(1e-6, 5.0))
+        message = "values must be nonnegative"
+    elif rule == "momenta":
+        mode, pts[:, 0] = "radial_table", pts[:, 0] - pts[0, 0] - draw(st.floats(1e-6, 2.0))
+        message = "momenta must be >= 0"
+    elif rule == "start":
+        mode, pts[:, 0] = "h_table", pts[:, 0] - pts[0, 0] + draw(st.floats(1e-6, 2.0))
+        pts[:, 1] = np.sort(pts[:, 1])[::-1]
+        message = "must start at s = 0"
+    else:  # a value above the one before it
+        mode, pts[:, 0] = "h_table", pts[:, 0] - pts[0, 0]
+        pts[:, 1] = np.sort(pts[:, 1])[::-1]
+        pts[i + 1, 1] = pts[i, 1] + draw(st.floats(1e-6, 2.0))
+        message = "values must be non-increasing"
+    return {"mode": mode, "points": pts.tolist()}, message
+
+
+_RULES = ["object", "key", "mode", "shape", "finite", "increasing", "nonnegative", "momenta",
+          "start", "monotone"]
+
+
+@pytest.mark.parametrize("rule", _RULES)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(table=_valid_table(), data=st.data())
+def test_spec_validation_names_the_broken_rule(rule, table, data, tmp_path_factory):
+    # a drawn valid table builds; with one rule broken, KernelSpec (from a
+    # config document, and Kernel on the spec itself) raises ConfigError with
+    # that rule's message, and the CLI prints it and exits 2
+    import contextlib
+    import io
+    import json
+
+    from spinboson.cli import main
+
+    mode, pts = table
+    ker = build_kernel(KernelSpec(mode, pts))
+    assert np.isfinite(ker.norm_inf) and ker.norm_inf >= 0.0
+    doc, message = _break_rule(data.draw, rule, mode, pts)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_kernel(KernelSpec.from_dict(doc))
+    if isinstance(doc, dict) and "points" in doc:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            Kernel(KernelSpec(doc["mode"], np.asarray(doc["points"], dtype=float)))
+    path = tmp_path_factory.mktemp("spec") / "kernel.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["norms", "--kernel", str(path)]) == 2
+    assert out.getvalue() == "" and message in err.getvalue()
 
 
 def test_rectangle_mass_against_2d_quadrature(indicator_kernel):
@@ -752,11 +840,16 @@ def test_truncated_laplace_inverts_the_window_cdf(a, b):
     # windows across 0, in both deep tails, narrow and of width 0, at the
     # extreme uniforms 0 and 1 - 2^-53 and between: the mass to 1e-15
     # relative, and each draw at its uniform's share of the window, to the
-    # rounding of the draw itself
+    # rounding of the draw itself; a window below 0 is drawn as Kernel.displacement
+    # draws it, mirrored above 0 and flipped back
     from spinboson.kernel import _truncated_laplace
 
     us = np.array([0.0, 1e-300, 1e-17, 1e-9, 0.3, 0.5, 0.77, 1 - 1e-9, 1 - 2.0**-53])
-    y, mass = _truncated_laplace(us, np.full(us.size, a), np.full(us.size, b))
+    if b < 0:
+        y, mass = _truncated_laplace(us, np.full(us.size, -b), np.full(us.size, -a))
+        y = -y
+    else:
+        y, mass = _truncated_laplace(us, np.full(us.size, a), np.full(us.size, b))
     assert np.all(np.isfinite(y)) and np.all(np.isfinite(mass))
     tol = 4 * np.spacing(np.maximum(abs(a), abs(b)))
     assert np.all((y >= a - tol) & (y <= b + tol))

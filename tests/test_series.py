@@ -100,6 +100,12 @@ def test_lambda_alpha_round_trip():
     assert alpha_from_lambda(4 * math.pi) == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("alpha", [-1e-4, -math.inf])
+def test_lambda_from_a_negative_alpha_is_refused(alpha):
+    with pytest.raises(ValueError, match="alpha must be >= 0"):
+        lambda_from_alpha(alpha)
+
+
 def test_energy_checks_p_max_once_and_runs_every_order_under_it(indicator_kernel, monkeypatch):
     seen = []
 
