@@ -102,8 +102,6 @@ def _cmd_coefficient(args):
     if args.raw:
         if mode != "finite":
             raise ConfigError("--raw needs --finite-T (the raw series lives at finite T)")
-        if args.p_max is not None and args.p > args.p_max:
-            raise ConfigError(f"order p={args.p} beyond --p-max {args.p_max}")
         ignored = [flag for flag, given in (("--method quad", args.method == "quad"),
                                             ("--per-term", args.per_term),
                                             ("--pin-pair", args.pin_pair != 0)) if given]
@@ -117,14 +115,13 @@ def _cmd_coefficient(args):
         return asdict(est), 0
     total, per_term = integrator.coefficient(
         ker, args.p, mode=mode, horizon=args.finite_T, method=args.method,
-        budget=args.budget, seed=args.seed or 0, p_max=args.p_max,
-        pin_pair=args.pin_pair, workers=args.workers, per_term=True,
+        budget=args.budget, seed=args.seed or 0, pin_pair=args.pin_pair,
+        workers=args.workers, per_term=True,
     )
     if args.per_term and args.output == "csv":
-        terms = integrator.cluster_terms(args.p, p_max=args.p_max, pin_pair=args.pin_pair)
         buf = io.StringIO()
         buf.write("index,p,matching,forest,sign,value,statistical_error\n")
-        for idx, (t, e) in enumerate(zip(terms, per_term)):
+        for idx, (t, e) in enumerate(per_term):
             matching = ";".join(f"{a}-{b}" for a, b in t.matching)
             forest = ";".join(f"{i}-{j}" for i, j in t.selection.micro_edges)
             buf.write(
@@ -135,7 +132,7 @@ def _cmd_coefficient(args):
         return None, 0
     doc = asdict(total)
     if args.per_term:
-        doc["terms"] = [asdict(e) for e in per_term]
+        doc["terms"] = [asdict(e) for _, e in per_term]
     return doc, 0
 
 
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="MC samples per term (default 200000)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--p-max", dest="p_max", type=int, default=None)
     p.add_argument("--pin-pair", dest="pin_pair", type=int, default=0)
     p.add_argument("--per-term", dest="per_term", action="store_true")
     p.add_argument("--raw", action="store_true",

@@ -30,11 +30,11 @@ pair (P, F) into a spanning tree on the base pairs whose edges are either
 kernel-decay edges (from the opened matching) or interval-overlap edges
 (from F); the Monte Carlo integrator walks that tree.
 
-The order cap is checked once, where a caller's p enters: at the top of
-every function that runs an enumeration to completion (cluster_terms under
-the caller's cap, verify_bkar_identity and the tree censuses of verify up to
-HARD_P_MAX, and brute_force_coefficient).  The lazy enumerators
-enumerate_matchings and enumerate_forest_selections check nothing.
+The order rule, check_order, is checked once, where a caller's p enters: at
+the top of every function that runs an enumeration to completion
+(cluster_terms, verify_bkar_identity, the tree censuses of verify and
+brute_force_coefficient).  The lazy enumerators enumerate_matchings and
+enumerate_forest_selections check nothing.
 """
 
 from __future__ import annotations
@@ -69,13 +69,13 @@ DEFAULT_P_MAX = 4
 HARD_P_MAX = 6
 
 
-def check_order(p: int, p_max: Optional[int] = None) -> None:
-    limit = DEFAULT_P_MAX if p_max is None else min(p_max, HARD_P_MAX)
+def check_order(p: int) -> None:
+    """The one order rule: 1 <= p <= HARD_P_MAX, with a warning past DEFAULT_P_MAX."""
     if p < 1:
         raise ResourceError("order p must be >= 1")
-    if p > limit:
+    if p > HARD_P_MAX:
         raise ResourceError(
-            f"order p={p} beyond the cap {limit}; enumeration grows factorially"
+            f"order p={p} beyond the cap {HARD_P_MAX}; enumeration grows factorially"
         )
     if p > DEFAULT_P_MAX:
         warnings.warn(f"order p={p}: enumeration sizes grow factorially", UserWarning)
@@ -339,7 +339,7 @@ def verify_bkar_identity(matching, t) -> float:
     t[2i] < t[2i+1] and closed intervals (touching counts as overlap), each
     selection weighed by its _overlap_code; orders up to HARD_P_MAX."""
     p = _validate_matching(matching)
-    check_order(p, HARD_P_MAX)
+    check_order(p)
     t = np.asarray(t, dtype=float)
     if t.shape != (2 * p,):
         raise ValueError("need 2p times")

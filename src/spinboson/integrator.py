@@ -121,10 +121,9 @@ class ClusterTerm:
         return np.where(allowed, self.volumes[code], 0.0)
 
 
-def cluster_terms(p: int, p_max: Optional[int] = None, pin_pair: int = 0) -> list[ClusterTerm]:
-    """All connecting (matching, selection) terms of order p, canonical order;
-    p beyond p_max (default DEFAULT_P_MAX, at most HARD_P_MAX) is a ResourceError."""
-    check_order(p, p_max)
+def cluster_terms(p: int, pin_pair: int = 0) -> list[ClusterTerm]:
+    """All connecting (matching, selection) terms of order p, in canonical order."""
+    check_order(p)
     out = []
     for m in enumerate_matchings(p):
         for sel in enumerate_forest_selections(m, connecting_only=True):
@@ -364,7 +363,6 @@ def coefficient(
     method: str = "mc",
     budget: Optional[int] = None,
     seed: int = 0,
-    p_max: Optional[int] = None,
     pin_pair: int = 0,
     workers: int = 1,
     per_term: bool = False,
@@ -376,9 +374,10 @@ def coefficient(
     for a term only flags the estimate "evaluation budget exceeded".  The
     quadrature tolerance of a term is the measured difference between the
     rule and a coarser one.  Statistical errors combine in quadrature;
-    deterministic tolerances add.
+    deterministic tolerances add.  per_term also returns the (term, estimate)
+    pairs, in cluster_terms order.
     """
-    terms = cluster_terms(p, p_max=p_max, pin_pair=pin_pair)
+    terms = cluster_terms(p, pin_pair=pin_pair)
     estimates = [
         integrate_term(
             kernel, t, mode=mode, horizon=horizon, method=method,
@@ -394,7 +393,7 @@ def coefficient(
         value, stat, qtol, estimates[0].method if estimates else method, p,
         horizon if mode == "finite" else None, warning,
     )
-    return (total, estimates) if per_term else total
+    return (total, list(zip(terms, estimates))) if per_term else total
 
 
 def brute_force_coefficient(

@@ -236,6 +236,10 @@ class KernelSpec:
 class Kernel:
     """Immutable built kernel; all evaluation methods are vectorized."""
 
+    # Overflow (and inf * 0 after it) is not reported while the tables are built: in a
+    # radial table's closed forms it leaves a norm that is not finite, refused below; a
+    # subnormal h value overflows PCHIP's harmonic mean of slopes to its limit, slope 0.
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, spec: KernelSpec):
         spec.validate()
         self.spec = spec
@@ -293,6 +297,9 @@ class Kernel:
             self._momentum = cum[1:], np.column_stack([cum[:-1], c, wa, dw, self._a, self._len])
         self.norm_inf = float(self.h(0.0))
         self.norm_l1 = 2.0 * self._mass
+        if not (math.isfinite(self.norm_inf) and math.isfinite(self.norm_l1)):
+            raise ConfigError(f"{spec.mode} kernel norms overflow: norm_inf = {self.norm_inf}, "
+                              f"norm_l1 = {self.norm_l1}")
         # (kind, key) -> table or value, stored only once built: worker threads share the kernel
         self._cache: dict = {}
 

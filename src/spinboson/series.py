@@ -131,9 +131,8 @@ def energy(
     Exactly one of alpha and lam must be given (lam converts through
     alpha = (lam/4pi)^2).  The pinned coefficients are computed with the
     requested method, order p on its own streams, from seed + p - 1.
-    p_max is checked once here, up to HARD_P_MAX, and caps every order.
     """
-    check_order(p_max, p_max)
+    check_order(p_max)
     if (alpha is None) == (lam is None):
         raise ValueError("give exactly one of alpha or lam")
     if alpha is None:
@@ -145,10 +144,8 @@ def energy(
     if not cmath.isfinite(alpha):
         raise ValueError("the coupling must be finite")
     coefficients = tuple(
-        coefficient(
-            kernel, p, mode="pinned", method=method, budget=budget,
-            seed=seed + p - 1, p_max=p_max, workers=workers,
-        )
+        coefficient(kernel, p, mode="pinned", method=method, budget=budget,
+                    seed=seed + p - 1, workers=workers)
         for p in range(1, p_max + 1)
     )
 

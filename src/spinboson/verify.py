@@ -73,7 +73,7 @@ def bkar(p: int, trials: int, seed: int) -> dict:
     or two blocks and few selections.  At p = 2 the two analytic cases
     (disjoint, overlapping) must come out exact.
     """
-    comb.check_order(p, comb.HARD_P_MAX)
+    comb.check_order(p)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = stream(seed, _TAG_BKAR, p)
@@ -182,7 +182,7 @@ def census(p: int) -> dict:
     """Matchings, connecting (matching, selection) pairs and labeled spanning
     trees of order p, with the most (matching, selection) pairs any one tree
     is compatible with.  Orders up to HARD_P_MAX."""
-    comb.check_order(p, comb.HARD_P_MAX)
+    comb.check_order(p)
     per_tree, connecting = Counter(), 0
     for m in comb.enumerate_matchings(p):
         conn = list(comb.enumerate_forest_selections(m, connecting_only=True))
@@ -220,7 +220,7 @@ def counts(p: int = 4) -> dict:
     from its parent pair to its child pair (key "offspring_counts"), fewer
     than 4^q compatible pairs per tree, and the labeled-tree degree census
     (orders 2..6) against Cayley's formula.  Orders up to HARD_P_MAX."""
-    comb.check_order(p, comb.HARD_P_MAX)
+    comb.check_order(p)
     checks = {}
     checks["matching_counts"] = all(
         comb.matching_count(q) == len(list(comb.enumerate_matchings(q)))

@@ -143,10 +143,9 @@ def test_unreliable_estimate_exits_1(kernel_cfg, capsys):
     assert capsys.readouterr().err.startswith("error: exp overflow in Z estimate")
 
 
-def test_raw_coefficient_within_p_max_runs(kernel_cfg):
-    # --p-max bounds the raw order as it bounds the connected one
+def test_raw_coefficient_runs(kernel_cfg):
     code, doc = run_json(["coefficient", "--kernel", kernel_cfg, "--p", "2", "--finite-T", "3",
-                          "--raw", "--seed", "1", "--budget", "2000", "--p-max", "2"])
+                          "--raw", "--seed", "1", "--budget", "2000"])
     assert code == 0 and doc["p"] == 2
 
 
@@ -178,13 +177,15 @@ def test_counts(kernel_cfg):
     }
 
 
-def test_order_warning_prints_the_message_alone(capsys):
+def test_order_warning_prints_the_message_alone(kernel_cfg, capsys):
     # raised once already under the default filters, which then show it no more
-    # from that line; the CLI still prints it, as one bare line
+    # from that line; the CLI still prints it, as one bare line, at every entry point
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        comb.check_order(5, 5)
-        for argv in (["counts", "--p", "5"], ["verify", "counts", "--p", "5"]):
+        comb.check_order(5)
+        for argv in (["counts", "--p", "5"], ["verify", "counts", "--p", "5"],
+                     ["coefficient", "--kernel", kernel_cfg, "--p", "5", "--method", "mc",
+                      "--budget", "1", "--seed", "1"]):
             capsys.readouterr()
             assert run_cli(argv)[0] == 0
             assert capsys.readouterr().err == (
@@ -438,15 +439,16 @@ def test_c2_quadrature_loads_no_scipy(kernel_cfg):
      "takes no --pin-pair"),
     (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--method", "quad",
       "--pin-pair", "1"], "takes no --method quad, --pin-pair"),
-    # an order past --p-max is refused with --raw as without it
-    (["coefficient", "--p", "2", "--finite-T", "3", "--raw", "--seed", "1", "--budget", "2000",
-      "--p-max", "1"], "beyond --p-max 1"),
-    (["coefficient", "--p", "2", "--finite-T", "3", "--seed", "1", "--budget", "2000",
-      "--p-max", "1"], "beyond the cap 1"),
+    # the coefficients keep the order rule of counts and energy
+    (["coefficient", "--p", "7", "--seed", "1", "--budget", "1"], "beyond the cap 6"),
+    (["coefficient", "--p", "0", "--seed", "1", "--budget", "1"], "order p must be"),
     # CSV is the per-term table only
     (["coefficient", "--p", "2", "--method", "quad", "--output", "csv"], "needs --per-term"),
     (["coefficient", "--p", "1", "--finite-T", "3", "--raw", "--seed", "1", "--output", "csv"],
      "needs --per-term"),
+    # verify bkar keeps the same order rule
+    (["verify", "bkar", "--p", "7", "--seed", "1", "--trials", "1"], "beyond the cap 6"),
+    (["verify", "bkar", "--p", "0", "--seed", "1", "--trials", "1"], "order p must be"),
 ])
 def test_out_of_range_arguments_exit_2(kernel_cfg, argv, message, capsys, monkeypatch):
     monkeypatch.setenv("SPINBOSON_KERNEL", kernel_cfg)  # not every subcommand takes --kernel

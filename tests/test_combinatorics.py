@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -45,16 +46,16 @@ def test_matching_count_formula():
 
 
 def test_order_cap_resource_guard():
-    with pytest.raises(ResourceError):
-        cluster_terms(5)
-    with pytest.raises(ResourceError):
-        cluster_terms(7, p_max=7)
+    # one rule everywhere: past HARD_P_MAX refused, past DEFAULT_P_MAX a warning
+    for p in (0, 7):
+        with pytest.raises(ResourceError):
+            cluster_terms(p)
     with pytest.raises(ResourceError):
         verify.census(7)
     with pytest.raises(ResourceError):
         verify_bkar_identity(base_matching(7), np.arange(14.0))
-    with pytest.warns(UserWarning):
-        assert len(cluster_terms(5, p_max=5)) == 5829
+    with pytest.warns(UserWarning, match="p=5: enumeration sizes grow factorially"):
+        assert len(cluster_terms(5)) == 5829
 
 
 def test_order_cap_checked_once_per_entry_point(monkeypatch):
@@ -69,13 +70,13 @@ def test_order_cap_checked_once_per_entry_point(monkeypatch):
     monkeypatch.setattr(combinatorics, "check_order", counting)
     monkeypatch.setattr(integrator, "check_order", counting)
     cluster_terms(4)
-    assert len(calls) == 1
+    assert calls == [(4,)]
     calls.clear()
     verify.counts(4)
-    assert calls == [(4, combinatorics.HARD_P_MAX)]
+    assert calls == [(4,)]
     calls.clear()
     verify.census(4)
-    assert calls == [(4, combinatorics.HARD_P_MAX)]
+    assert calls == [(4,)]
 
 
 def test_partition_join_base_matching_gives_singletons():
@@ -546,3 +547,62 @@ def test_verify_counts_catches_a_wrong_cycle_walk(monkeypatch):
     doc = verify.counts(3)
     assert doc["checks"]["even_cycle_supports"] is False
     assert doc["passed"] is False
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_matchings(p):
+    """Every perfect matching of 0..2p-1, read off all orderings of the points."""
+    return {frozenset(tuple(sorted(perm[k:k + 2])) for k in range(0, 2 * p, 2))
+            for perm in itertools.permutations(range(2 * p))}
+
+
+def _brute_forests(matching):
+    """Micro-edge sets with at most one edge per block pair and an acyclic
+    induced block graph, from every subset of the pairs across blocks."""
+    block_of = partition_join(matching).block_of
+    across = [(i, j) for i, j in itertools.combinations(range(len(block_of)), 2)
+              if block_of[i] != block_of[j]]
+    forests = set()
+    for r in range(len(across) + 1):
+        for edges in itertools.combinations(across, r):
+            hat = [tuple(sorted((block_of[i], block_of[j]))) for i, j in edges]
+            root = list(range(max(block_of) + 1))  # union-find on the blocks
+
+            def find(x):
+                while root[x] != x:
+                    x = root[x]
+                return x
+
+            acyclic = True
+            for x, y in hat:
+                acyclic &= find(x) != find(y)
+                root[find(x)] = find(y)
+            if len(set(hat)) == len(hat) and acyclic:
+                forests.add(edges)
+    return forests
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda p: st.permutations(range(2 * p))))
+def test_matchings_and_forest_selections_against_brute_force(perm):
+    # a drawn ordering of the 2p points pairs consecutive ones into a matching
+    p = len(perm) // 2
+    matching = tuple(sorted(tuple(sorted(perm[k:k + 2])) for k in range(0, 2 * p, 2)))
+    got = list(enumerate_matchings(p))
+    assert len(got) == matching_count(p) and got.count(matching) == 1
+    assert {frozenset(m) for m in got} == _brute_matchings(p)
+
+    forests = _brute_forests(matching)
+    sels = list(enumerate_forest_selections(matching))
+    # micro edges follow their hat edges' order; as sets, each forest exactly once
+    assert sorted(tuple(sorted(s.micro_edges)) for s in sels) == sorted(forests)
+    connecting = [s.micro_edges for s in enumerate_forest_selections(matching, True)]
+    assert len(set(connecting)) == len(connecting)
+    spanning = set()
+    for s in sels:
+        try:
+            open_cycles(matching, s)
+        except StructureError:
+            continue
+        spanning.add(s.micro_edges)
+    assert set(connecting) == spanning

@@ -72,7 +72,7 @@ def test_order2_term_signs(indicator_kernel):
     _, per_term = coefficient(
         indicator_kernel, 2, method="mc", budget=20_000, seed=14, per_term=True
     )
-    signs = sorted(np.sign(e.value) for e in per_term)
+    signs = sorted(np.sign(e.value) for _, e in per_term)
     assert signs == [-1.0, 1.0, 1.0]
 
 

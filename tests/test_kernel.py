@@ -207,6 +207,36 @@ def test_spec_validation_names_the_broken_rule(rule, table, data, tmp_path_facto
     assert out.getvalue() == "" and message in err.getvalue()
 
 
+def test_overflowing_norms_refused_and_subnormal_h_builds_silently(tmp_path):
+    # a radial table whose norms overflow double precision is a ConfigError that
+    # names the overflow, at Kernel and through the CLI; a subnormal h value only
+    # overflows PCHIP's harmonic mean of slopes to its limit 0, so the kernel
+    # builds without a warning and reads as the table with that value set to 0
+    import contextlib
+    import io
+    import json
+
+    from spinboson.cli import main
+
+    huge = [[0.0, 1e308], [1.0, 1e308]]
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({"mode": "radial_table", "points": huge}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="norms overflow: norm_inf = nan, norm_l1 = inf"):
+            Kernel(KernelSpec("radial_table", np.array(huge)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["norms", "--kernel", str(path)]) == 2
+        assert out.getvalue() == "" and "norms overflow" in err.getvalue()
+        sub = Kernel(KernelSpec("h_table", np.array([[0.0, 1.0], [0.5, 2.2e-313], [1.0, 0.0]])))
+        zero = Kernel(KernelSpec("h_table", np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 0.0]])))
+    x = np.linspace(0.0, 1.5, 301)
+    assert np.abs(sub.h(x) - zero.h(x)).max() <= 2.2e-313
+    assert np.array_equal(sub.psi(x), zero.psi(x))
+    assert (sub.norm_inf, sub.norm_l1) == (zero.norm_inf, zero.norm_l1)
+
+
 def test_rectangle_mass_against_2d_quadrature(indicator_kernel):
     # oracle: direct 2-D adaptive quadrature of int_0^1 int_0^1 h(t-s), which is
     # Phi(1) - Phi(0) - Phi(0) + Phi(-1) = 2 Phi(1) as Phi is even with Phi(0) = 0

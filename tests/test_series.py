@@ -107,10 +107,12 @@ def test_lambda_from_a_negative_alpha_is_refused(alpha):
 
 
 def test_energy_checks_p_max_once_and_runs_every_order_under_it(indicator_kernel, monkeypatch):
+    # p_max is the truncation order: each coefficient gets its own order alone
     seen = []
 
     def recording(kernel, p, **kwargs):
-        seen.append((p, kwargs["p_max"]))
+        assert "p_max" not in kwargs
+        seen.append(p)
         return CoefficientEstimate(1.0, 0.0, 0.0, "monte_carlo", p, None, None)
 
     monkeypatch.setattr(series, "coefficient", recording)
@@ -120,7 +122,7 @@ def test_energy_checks_p_max_once_and_runs_every_order_under_it(indicator_kernel
     assert seen == []
     with pytest.warns(UserWarning, match="p=6: enumeration sizes grow factorially"):
         res = energy(indicator_kernel, alpha=1e-4, p_max=6, method="mc", budget=1, seed=1)
-    assert seen == [(p, 6) for p in range(1, 7)]
+    assert seen == [1, 2, 3, 4, 5, 6]
     assert len(res.coefficients) == 6
 
 
